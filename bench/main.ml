@@ -9,6 +9,7 @@ open Safeopt_trace
 open Safeopt_exec
 open Safeopt_lang
 open Safeopt_litmus
+module Clock = Safeopt_obs.Clock
 
 let vol0 = Location.Volatile.none
 

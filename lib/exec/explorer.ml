@@ -2,6 +2,7 @@ open Safeopt_trace
 module Metrics = Safeopt_obs.Metrics
 module Tracer = Safeopt_obs.Tracer
 module Ev = Safeopt_obs.Event
+module Clock = Safeopt_obs.Clock
 
 exception Cyclic
 exception Too_many_states of int
@@ -152,8 +153,8 @@ let delta_stats ~now ~before =
    [publish] only lands a run's counters in the global registry at
    entry-point *end*, so a sampler reading just the registry would see
    a long exploration as a flat line.  Instead every stats record a
-   run is actively mutating — the entry point's record and, under
-   parallelism, each per-worker record — is registered here with a
+   run is actively mutating — the entry point's record and each
+   per-worker record of the discovery loop — is registered here with a
    baseline copy.  {!live_progress} folds the registry together with
    the in-flight deltas; [finish] removes an entry and runs its
    publish/merge continuation {e under the same lock}, so any unit of
@@ -240,24 +241,6 @@ let observed name stats f =
         (fun () -> f (Some s))
 
 (* ------------------------------------------------------------------ *)
-(* Interning                                                           *)
-(* ------------------------------------------------------------------ *)
-
-module Intern = struct
-  type t = (string, int) Hashtbl.t
-
-  let create () : t = Hashtbl.create 256
-
-  let id (t : t) s =
-    match Hashtbl.find_opt t s with
-    | Some i -> i
-    | None ->
-        let i = Hashtbl.length t in
-        Hashtbl.add t s i;
-        i
-end
-
-(* ------------------------------------------------------------------ *)
 (* Hash-consed scheduler states                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -276,11 +259,9 @@ type 'ts state = {
   locks_id : int;
 }
 
-(* The interning context is a record of closures so the sequential
-   engine (plain [Hashtbl]s, no synchronisation) and the parallel
-   engine (striped tables from {!Par}) share every function below
-   ([initial], [enabled], [state_id], ...) without the sequential path
-   paying any mutex or atomic cost. *)
+(* The interning context.  A pool of several workers needs the striped
+   tables of {!Par}; a lone worker gets their single-stripe, mutex-free
+   variants, so a run at pool size 1 pays no synchronisation. *)
 type 'ts ctx = {
   sys : 'ts System.t;
   tkey : string -> int;  (** thread-state keys *)
@@ -288,56 +269,27 @@ type 'ts ctx = {
   mkey : string -> int;  (** monitors *)
   mems : int array -> int;  (** canonical memories *)
   lockts : int array -> int;  (** canonical monitor tables *)
-  ids : int array -> int * bool;  (** full state digest -> (id, fresh) *)
-  arena_words : unit -> int;  (** packed digest words across all tables *)
+  arena_words : unit -> int;  (** packed words of the two tables above *)
 }
 
-(* Both contexts store their int-array digests (memories, monitor
-   tables, full states) in {!Par.Ptbl} packed arenas — unboxed bump
-   allocation, open-addressing index, no per-state boxed key.  The
-   sequential context uses the single-stripe mutex-free variant, so it
-   pays no synchronisation; the parallel one the striped table. *)
-let make_ctx sys =
-  let tkey = Intern.create () in
-  let lkey = Intern.create () in
-  let mkey = Intern.create () in
-  let mems = Par.Ptbl.create_local ~dummy:() () in
-  let lockts = Par.Ptbl.create_local ~dummy:() () in
-  let ids = Par.Ptbl.create_local ~dummy:() () in
+let make_ctx ~shared sys =
+  let intern () =
+    Par.Intern.id
+      (if shared then Par.Intern.create () else Par.Intern.create_local ())
+  in
+  let table () =
+    if shared then Par.Ptbl.create ~dummy:() ()
+    else Par.Ptbl.create_local ~dummy:() ()
+  in
+  let mems = table () and lockts = table () in
   {
     sys;
-    tkey = Intern.id tkey;
-    lkey = Intern.id lkey;
-    mkey = Intern.id mkey;
+    tkey = intern ();
+    lkey = intern ();
+    mkey = intern ();
     mems = Par.Ptbl.intern mems;
     lockts = Par.Ptbl.intern lockts;
-    ids = Par.Ptbl.intern_fresh ids;
-    arena_words =
-      (fun () ->
-        Par.Ptbl.words mems + Par.Ptbl.words lockts + Par.Ptbl.words ids);
-  }
-
-(* Same context shape over the striped tables: safe to call from any
-   domain of a pool.  Ids come from atomic counters, so their numeric
-   order varies across runs; they are only used for equality. *)
-let make_par_ctx sys =
-  let tkey = Par.Intern.create () in
-  let lkey = Par.Intern.create () in
-  let mkey = Par.Intern.create () in
-  let mems = Par.Ptbl.create ~dummy:() () in
-  let lockts = Par.Ptbl.create ~dummy:() () in
-  let ids = Par.Ptbl.create ~dummy:() () in
-  {
-    sys;
-    tkey = Par.Intern.id tkey;
-    lkey = Par.Intern.id lkey;
-    mkey = Par.Intern.id mkey;
-    mems = Par.Ptbl.intern mems;
-    lockts = Par.Ptbl.intern lockts;
-    ids = Par.Ptbl.intern_fresh ids;
-    arena_words =
-      (fun () ->
-        Par.Ptbl.words mems + Par.Ptbl.words lockts + Par.Ptbl.words ids);
+    arena_words = (fun () -> Par.Ptbl.words mems + Par.Ptbl.words lockts);
   }
 
 let intern_mem ctx mem =
@@ -373,8 +325,6 @@ let state_digest st =
   d.(n + 1) <- st.locks_id;
   d
 
-let state_id ctx st = ctx.ids (state_digest st)
-
 let read_value st l =
   Option.value ~default:Value.default (Location.Map.find_opt l st.mem)
 
@@ -386,8 +336,8 @@ let set_thread ctx st tid ts' =
   (threads, tkeys)
 
 (* All enabled transitions from a scheduler state:
-   (thread id, action, successor state), in thread-index then step
-   order — witness searches depend on this order being stable. *)
+   ((thread id, action), successor state), in thread-index then step
+   order — the order every search expands them in. *)
 let enabled ctx st =
   let out = ref [] in
   Array.iteri
@@ -401,7 +351,7 @@ let enabled ctx st =
               | Some ts' ->
                   let threads, tkeys = set_thread ctx st tid ts' in
                   out :=
-                    (tid, Action.Read (l, v), { st with threads; tkeys })
+                    ((tid, Action.Read (l, v)), { st with threads; tkeys })
                     :: !out
               | None -> ())
           | System.Rmw (l, k) ->
@@ -412,13 +362,13 @@ let enabled ctx st =
                   let st' = { st with mem; mem_id = intern_mem ctx mem } in
                   let threads, tkeys = set_thread ctx st' tid ts' in
                   out :=
-                    (tid, Action.Rmw (l, v, w), { st' with threads; tkeys })
+                    ((tid, Action.Rmw (l, v, w)), { st' with threads; tkeys })
                     :: !out)
                 (k v)
           | System.Emit (a, ts') -> (
               let commit st' =
                 let threads, tkeys = set_thread ctx st' tid ts' in
-                out := (tid, a, { st' with threads; tkeys }) :: !out
+                out := ((tid, a), { st' with threads; tkeys }) :: !out
               in
               match a with
               | Action.Read _ ->
@@ -455,7 +405,7 @@ let enabled ctx st =
   List.rev !out
 
 (* ------------------------------------------------------------------ *)
-(* Independence and sleep sets                                         *)
+(* Independence and persistent sets                                    *)
 (* ------------------------------------------------------------------ *)
 
 (* Two transitions of different threads commute iff their actions do not
@@ -482,16 +432,6 @@ let independent (t1, a1) (t2, a2) =
      | _ -> true)
   && not (Action.is_external a1 && Action.is_external a2)
 
-type sleeper = Thread_id.t * Action.t
-
-let in_sleep sleep tid a =
-  List.exists
-    (fun (t, b) -> Thread_id.equal t tid && Action.equal b a)
-    sleep
-
-let sleep_subset s1 s2 = List.for_all (fun (t, a) -> in_sleep s2 t a) s1
-let sleep_inter s1 s2 = List.filter (fun (t, a) -> in_sleep s2 t a) s1
-
 (* Persistent-set selection, generalising the old singleton rule: if
    some thread's enabled transitions are all invisible and statically
    independent of every other thread ([local], plus start actions), that
@@ -503,8 +443,8 @@ let sleep_inter s1 s2 = List.filter (fun (t, a) -> in_sleep s2 t a) s1
    lattice (smaller sleep can only add children, never change which
    thread is selected), which is what lets revisits-with-refinement
    converge to an order-independent fixpoint: the reached state set is
-   the same whatever order arrivals are processed in — the property the
-   parallel engine's exact [count_states] parity rests on.  A selected
+   the same whatever order arrivals are processed in — the property
+   [count_states]'s exact parity across pool sizes rests on.  A selected
    set whose every transition is slept simply expands to nothing, which
    is sound: each slept transition is explored from a sibling branch by
    sleep-set coverage. *)
@@ -512,253 +452,47 @@ let persistent_select local succs =
   let is_local a = match a with Action.Start _ -> true | _ -> local a in
   let rec tids_of acc = function
     | [] -> List.rev acc
-    | (tid, _, _) :: rest ->
+    | ((tid, _), _) :: rest ->
         tids_of (if List.mem tid acc then acc else tid :: acc) rest
   in
   let candidate tid =
     List.for_all
-      (fun (t, a, _) -> (not (Thread_id.equal t tid)) || is_local a)
+      (fun ((t, a), _) -> (not (Thread_id.equal t tid)) || is_local a)
       succs
   in
   match List.find_opt candidate (tids_of [] succs) with
-  | Some tid -> List.filter (fun (t, _, _) -> Thread_id.equal t tid) succs
+  | Some tid -> List.filter (fun ((t, _), _) -> Thread_id.equal t tid) succs
   | None -> succs
 
 (* ------------------------------------------------------------------ *)
-(* Memoised behaviour / state-count exploration with sleep sets        *)
+(* The engine: one discovery loop, one fold                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The DFS core shared by [behaviours] and [count_states].  [visit] is
-   called once per explored transition with the subtree's result; its
-   accumulated value is memoised per (state, sleep set).
+(* Every exhaustive search in this module is one run of [discover] over
+   a state space — a root, a digest, an expansion — followed, for the
+   analyses that compute a result per state, by one memoised [fold]
+   over the discovered graph.
 
-   Sleep sets with state matching (Godefroid): a memo entry records the
-   sleep set it was computed under and may be reused only by visits
-   whose sleep set subsumes it (those need a subset of the explored
-   transitions).  A revisit with an incomparable sleep set re-explores
-   under the intersection, which only ever shrinks, so the recursion
-   terminates and the stored result only grows. *)
-let explore_core (type r) ~(empty : r) ~(union : r -> r -> r)
-    ~(label : Action.t -> r -> r) ~max_states ~local ~stats sys =
-  let s = sink stats in
-  let ctx = make_ctx sys in
-  let memo : (int, sleeper list * r) Hashtbl.t = Hashtbl.create 997 in
-  let on_stack : (int, unit) Hashtbl.t = Hashtbl.create 97 in
-  let count = ref 0 in
-  let reduce = Option.is_some local in
-  let local_pred = match local with Some f -> f | None -> fun _ -> false in
-  let rec go st sleep depth =
-    let id, fresh = state_id ctx st in
-    if fresh then begin
-      incr count;
-      s.states <- s.states + 1;
-      if !count > max_states then raise (Too_many_states !count)
-    end;
-    match Hashtbl.find_opt memo id with
-    | Some (stored, r) when (not reduce) || sleep_subset stored sleep ->
-        s.memo_hits <- s.memo_hits + 1;
-        r
-    | prior ->
-        if Hashtbl.mem on_stack id then raise Cyclic;
-        Hashtbl.add on_stack id ();
-        if depth > s.peak_frontier then s.peak_frontier <- depth;
-        let sleep =
-          match prior with
-          | Some (stored, _) -> sleep_inter stored sleep
-          | None -> sleep
-        in
-        let succs = enabled ctx st in
-        let selected =
-          if reduce then persistent_select local_pred succs else succs
-        in
-        s.por_cuts <- s.por_cuts + (List.length succs - List.length selected);
-        let result = ref empty in
-        let explored = ref [] in
-        List.iter
-          (fun (tid, a, st') ->
-            if reduce && in_sleep sleep tid a then
-              s.por_cuts <- s.por_cuts + 1
-            else begin
-              s.edges <- s.edges + 1;
-              let child_sleep =
-                if reduce then
-                  List.filter
-                    (fun e -> independent e (tid, a))
-                    (List.rev_append !explored sleep)
-                else []
-              in
-              let sub = go st' child_sleep (depth + 1) in
-              result := union !result (label a sub);
-              if reduce then explored := (tid, a) :: !explored
-            end)
-          selected;
-        Hashtbl.remove on_stack id;
-        Hashtbl.replace memo id (sleep, !result);
-        !result
-  in
-  let r = go (initial ctx) [] 1 in
-  (r, !count)
+   Discovery runs on the {!Par.Ws} work-stealing scheduler, one deque
+   per pool worker.  A worker pops an item, expands its state, interns
+   each successor's digest in the packed {!Par.Ptbl} visited table and
+   pushes the successors it is the first to reach (the expensive part:
+   successor construction, interning, hashing).  Children are pushed
+   last-first, so a lone worker pops them in expansion order: at pool
+   size 1 the loop is a depth-first search in the calling domain, on
+   the single-stripe, mutex-free tables.  Larger pools use the striped
+   tables, and idle workers steal oldest-first.  An exception raised by
+   an expansion or by [on_revisit] (a witness search's [Found]) aborts
+   every worker and surfaces from [discover]: that is how searches exit
+   early.  [on_revisit] sees each edge whose target this arrival does
+   not expand — a state reached before; the edge a state is expanded by
+   is its own (a witness search keeps it in the state).
 
-(* ------------------------------------------------------------------ *)
-(* Domain-parallel exploration                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* The parallel engine splits the work the sequential DFS does in one
-   pass into two phases:
-
-   Phase 1 (parallel): frontier discovery over per-worker {!Par.Ws}
-   work-stealing deques.  Workers expand states ([enabled] — the
-   expensive part: successor construction, interning, hashing) from
-   their own deque bottoms (LIFO: the search stays depth-first-ish and
-   cache-hot) and steal oldest-first from each other when empty; the
-   striped digest table dedupes (the worker that interns a state first
-   owns its expansion).
-
-   Phase 2 (sequential): a memoised suffix fold over the discovered
-   compact int graph — the cheap part — computing the same result the
-   sequential DFS would, including raising [Cyclic] on cycles.
-
-   [par_discover] is the plain (non-reduced) discovery used by the
-   witness searches and the TSO/PSO graph machines: edges and BFS-tree
-   parents accumulate in per-worker lists (no sharing, no locks).  The
-   sleep-set-aware discovery used by [behaviours]/[count_states] lives
-   in [par_explore_core] below. *)
-
-(* Per-worker instrumentation hooks for a {!Par.Ws} run.  The branch on
-   the metrics flag is hoisted out: disabled runs get bare closures,
-   paying nothing per wait, steal, or push. *)
-let ws_hooks (s : stats) =
-  if Metrics.enabled () then begin
-    let waits = Metrics.histogram Metrics.global "par.lock_wait_s" in
-    let steals = Metrics.counter Metrics.global "par.steals" in
-    let depth = Metrics.gauge Metrics.global "par.deque_depth" in
-    ( (fun dt ->
-        s.lock_waits <- s.lock_waits + 1;
-        Metrics.observe waits dt),
-      (fun n ->
-        s.steals <- s.steals + 1;
-        Metrics.add steals n),
-      fun d ->
-        if d > s.peak_frontier then s.peak_frontier <- d;
-        Metrics.record depth (float_of_int d) )
-  end
-  else
-    ( (fun (_ : float) -> s.lock_waits <- s.lock_waits + 1),
-      (fun (_ : int) -> s.steals <- s.steals + 1),
-      fun d -> if d > s.peak_frontier then s.peak_frontier <- d )
-
-let record_arena ctx extra =
-  if Metrics.enabled () then
-    Metrics.record
-      (Metrics.gauge Metrics.global "par.arena_words")
-      (float_of_int (ctx.arena_words () + extra))
-
-(* Per-worker records accumulate off-registry until the join, so the
-   heartbeat would see a parallel run as a flat line; track each one
-   (base = its creation-time zeros).  [join_wstats] replaces the plain
-   merge loop: each worker's hand-off from "in flight" to "inside the
-   entry-point record" happens under the live lock, keeping the
-   sampler's view monotone.  [untrack_wstats] is the abort path
-   (Too_many_states, Cyclic): drop the partial deltas, as the
-   sequential engine does — a no-op for already-joined workers. *)
-let track_wstats (ws : stats array) =
-  if Metrics.enabled () then
-    Array.iter (fun w -> Live.track w (copy_stats w)) ws
-
-let join_wstats ~into (ws : stats array) =
-  Array.iter (fun w -> Live.finish w (fun () -> merge_stats ~into w)) ws
-
-let untrack_wstats (ws : stats array) =
-  Array.iter (fun w -> Live.finish w (fun () -> ())) ws
-
-let par_discover (type st lbl) ~pool ~max_states ~(wstats : stats array)
-    ~(expand : int -> st -> (lbl * st) list)
-    ~(intern : st -> int * bool) (st0 : st) :
-    int * (lbl * int) list array * (int * lbl) option array * int =
-  let nw = Par.Pool.size pool in
-  let ws : (int * st) Par.Ws.t = Par.Ws.create nw in
-  let edges : (int * lbl * int) list array = Array.make nw [] in
-  let parents : (int * int * lbl) list array = Array.make nw [] in
-  let total = Atomic.make 1 in
-  let id0, fresh0 = intern st0 in
-  assert fresh0;
-  wstats.(0).states <- wstats.(0).states + 1;
-  Par.Ws.seed ws (id0, st0);
-  let sp =
-    if Tracer.enabled () then Tracer.span "explore.discover" else Tracer.none
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Tracer.close_span ~attrs:[ ("states", Ev.Int (Atomic.get total)) ] sp)
-    (fun () ->
-      Par.Pool.run pool (fun w ->
-          let s = wstats.(w) in
-          let on_wait, on_steal, on_peak = ws_hooks s in
-          Par.Ws.run ws w ~on_wait ~on_steal ~on_peak
-            (fun (id, st) push ->
-              List.iter
-                (fun (lbl, st') ->
-                  s.edges <- s.edges + 1;
-                  let id', fresh = intern st' in
-                  edges.(w) <- (id, lbl, id') :: edges.(w);
-                  if fresh then begin
-                    s.states <- s.states + 1;
-                    parents.(w) <- (id', id, lbl) :: parents.(w);
-                    let n = Atomic.fetch_and_add total 1 + 1 in
-                    if n > max_states then raise (Too_many_states n);
-                    push (id', st')
-                  end)
-                (expand w st))));
-  let n = Atomic.get total in
-  let succ : (lbl * int) list array = Array.make n [] in
-  Array.iter
-    (List.iter (fun (u, l, v) -> succ.(u) <- (l, v) :: succ.(u)))
-    edges;
-  let parent = Array.make n None in
-  Array.iter
-    (List.iter (fun (v, u, l) -> parent.(v) <- Some (u, l)))
-    parents;
-  (n, succ, parent, id0)
-
-(* Memoised suffix fold over the discovered graph — the parallel
-   counterpart of [explore_core]'s result computation, on compact int
-   ids.  Raises [Cyclic] exactly when a cycle is reachable, like the
-   sequential engine. *)
-let fold_graph (type r lbl) ~(empty : r) ~(union : r -> r -> r)
-    ~(label : lbl -> r -> r) ~(stats : stats)
-    (succ : (lbl * int) list array) id0 : r =
-  let n = Array.length succ in
-  let memo : r option array = Array.make n None in
-  let on_stack = Array.make n false in
-  let rec go id =
-    match memo.(id) with
-    | Some r ->
-        stats.memo_hits <- stats.memo_hits + 1;
-        r
-    | None ->
-        if on_stack.(id) then raise Cyclic;
-        on_stack.(id) <- true;
-        let r =
-          List.fold_left
-            (fun acc (l, id') -> union acc (label l (go id')))
-            empty succ.(id)
-        in
-        on_stack.(id) <- false;
-        memo.(id) <- Some r;
-        r
-  in
-  let sp =
-    if Tracer.enabled () then Tracer.span "explore.fold" else Tracer.none
-  in
-  Fun.protect ~finally:(fun () -> Tracer.close_span sp) (fun () -> go id0)
-
-(* Sleep-set-aware parallel discovery.
-
+   The optional reduction is persistent-set selection plus sleep sets.
    Each work item carries its own sleep set (source-set style), so the
-   parallel search prunes exactly as hard as the sequential sleep-set
-   DFS.  The digest table's per-entry meta holds the state's current
-   sleep set, a version counter, and the edge list of its latest
-   accepted expansion:
+   loop prunes exactly as hard at any pool size.  The table's per-state
+   meta holds the state's current sleep set, a version counter, and the
+   packed edges of its latest accepted expansion:
 
    - An arrival whose sleep set is subsumed by the stored one is
      dropped: everything it would explore is already covered.
@@ -778,53 +512,122 @@ let fold_graph (type r lbl) ~(empty : r) ~(union : r -> r -> r)
    so the set of (state, final sleep) pairs is the least fixpoint of a
    monotone operator and independent of arrival order and worker
    count.  The reached state set — hence [count_states] — is therefore
-   {e exactly} equal across jobs 1, 2, ..., N.  Re-expansions can
-   revisit edges, so [edges]/[por_cuts] may exceed the sequential
-   figures under reduction (never under plain enumeration, where sleep
-   sets are all empty and every state expands exactly once). *)
+   {e exactly} equal at every pool size.  Re-expansions can revisit
+   edges, so under reduction [edges]/[por_cuts] depend on the schedule
+   (never under plain enumeration, where sleep sets are all empty and
+   every state expands exactly once).
 
-type pmeta = {
-  mutable psleep : sleeper list;  (** current (smallest) sleep set *)
-  mutable pversion : int;  (** bumped on every refinement *)
-  mutable pedges : (Action.t * int) list;  (** latest accepted expansion *)
+   Edges are packed: a state's accepted expansion is one unboxed
+   [int array] of (target id, label id) pairs.  Labels are interned per
+   worker without locks — worker [w] of [nw] numbers its labels [w],
+   [w + nw], [w + 2nw], ... — so ids are unique across the pool, and
+   the fold maps each one back through the workers' tables.  A witness
+   search needs no graph ([~graph:false]): it records no edges at all.
+
+   Each item also carries its depth (the root is 1), and
+   [peak_frontier] is the deepest item expanded: at pool size 1 the
+   depth of the depth-first search. *)
+
+type ('st, 'lbl) reduction = {
+  select : ('lbl * 'st) list -> ('lbl * 'st) list;  (** persistent set *)
+  independent : 'lbl -> 'lbl -> bool;
 }
 
-let par_explore_core (type r) ~(empty : r) ~(union : r -> r -> r)
-    ~(label : Action.t -> r -> r) ~pool ~max_states ~local ~stats sys =
-  let s = sink stats in
-  let ctx = make_par_ctx sys in
+type 'lbl meta = {
+  mutable psleep : 'lbl list;  (** current (smallest) sleep set *)
+  mutable pversion : int;  (** bumped on every refinement *)
+  mutable pedges : int array;  (** latest accepted expansion, packed *)
+}
+
+type 'lbl discovered = {
+  root : int;
+  succ : int array array;  (** state id -> (target, label) id pairs *)
+  labels : ('lbl, int) Hashtbl.t array;  (** per-worker label ids *)
+  shared : bool;  (** discovered by a pool of several workers *)
+}
+
+let sleep_subset s1 s2 = List.for_all (fun l -> List.mem l s2) s1
+let sleep_inter s1 s2 = List.filter (fun l -> List.mem l s2) s1
+
+(* Per-worker scheduler hooks.  The [par.*] metrics, like the
+   [explore.discover]/[explore.fold] spans, are recorded only for pools
+   of several workers, so telemetry costs the many small explorations
+   of a batch nothing. *)
+let ws_hooks ~shared (s : stats) =
+  let wait (_ : float) = s.lock_waits <- s.lock_waits + 1 in
+  let steal (_ : int) = s.steals <- s.steals + 1 in
+  if shared && Metrics.enabled () then begin
+    let waits = Metrics.histogram Metrics.global "par.lock_wait_s" in
+    let steals = Metrics.counter Metrics.global "par.steals" in
+    let depth = Metrics.gauge Metrics.global "par.deque_depth" in
+    ( (fun dt ->
+        wait dt;
+        Metrics.observe waits dt),
+      (fun n ->
+        steal n;
+        Metrics.add steals n),
+      Some (fun d -> Metrics.record depth (float_of_int d)) )
+  end
+  else (wait, steal, None)
+
+(* Per-worker records accumulate off-registry until the loop ends, so
+   the heartbeat would see a long run as a flat line; track each one
+   (base = its creation-time zeros).  [join_wstats] hands each worker's
+   counts from "in flight" to "inside the entry-point record" under the
+   live lock, keeping the sampler's view monotone.  It runs on every
+   exit — a witness found, a budget exceeded — so partial work is
+   counted, as the witness searches report it. *)
+let track_wstats (ws : stats array) =
+  if Metrics.enabled () then
+    Array.iter (fun w -> Live.track w (copy_stats w)) ws
+
+let join_wstats ~into (ws : stats array) =
+  Array.iter (fun w -> Live.finish w (fun () -> merge_stats ~into w)) ws
+
+let discover (type st lbl) ~pool ~max_states ~(stats : stats) ?(graph = true)
+    ?(arena_words = fun () -> 0) ?(reduction : (st, lbl) reduction option)
+    ?(on_revisit : lbl -> st -> int -> unit = fun _ _ _ -> ())
+    ~(digest : st -> int array) ~(expand : int -> st -> (lbl * st) list)
+    (root : st) : lbl discovered =
   let nw = Par.Pool.size pool in
-  let wstats = Array.init nw (fun _ -> create_stats ()) in
-  track_wstats wstats;
-  Fun.protect ~finally:(fun () -> untrack_wstats wstats) @@ fun () ->
-  let reduce = Option.is_some local in
-  let local_pred = match local with Some f -> f | None -> fun _ -> false in
-  let dummy = { psleep = []; pversion = 0; pedges = [] } in
-  let tbl : pmeta Par.Ptbl.t = Par.Ptbl.create ~dummy () in
-  let total = Atomic.make 0 in
-  let ws = Par.Ws.create nw in
+  let shared = nw > 1 in
+  let dummy = { psleep = []; pversion = 0; pedges = [||] } in
+  let tbl =
+    if shared then Par.Ptbl.create ~dummy ()
+    else Par.Ptbl.create_local ~dummy ()
+  in
+  let labels = Array.init nw (fun _ -> Hashtbl.create 64) in
+  let label_id w l =
+    let t = labels.(w) in
+    match Hashtbl.find_opt t l with
+    | Some i -> i
+    | None ->
+        let i = (Hashtbl.length t * nw) + w in
+        Hashtbl.add t l i;
+        i
+  in
+  let reduce = Option.is_some reduction in
   (* Intern [st] arriving with [sleep]; decide expansion vs drop under
-     the stripe lock.  [f] must not raise, so the budget check happens
-     on the returned freshness outside the lock. *)
-  let arrive st sleep =
-    let d = state_digest st in
-    let id, decision =
+     the stripe lock.  [update]'s function must not raise, so the budget
+     check happens on the returned freshness outside the lock. *)
+  let arrive st sleep depth =
+    let d = digest st in
+    match
       Par.Ptbl.update tbl d (function
         | None ->
-            let m =
-              { psleep = sleep; pversion = 0; pedges = [] }
-            in
-            (m, `Expand (d, m, 0, sleep, true))
-        | Some m ->
-            if (not reduce) || sleep_subset m.psleep sleep then (m, `Drop)
-            else begin
-              m.psleep <- sleep_inter m.psleep sleep;
-              m.pversion <- m.pversion + 1;
-              (m, `Expand (d, m, m.pversion, m.psleep, false))
-            end)
-    in
-    (id, decision)
+            let m = { psleep = sleep; pversion = 0; pedges = [||] } in
+            (m, Some (m, 0, sleep, true))
+        | Some m when reduce && not (sleep_subset m.psleep sleep) ->
+            m.psleep <- sleep_inter m.psleep sleep;
+            m.pversion <- m.pversion + 1;
+            (m, Some (m, m.pversion, m.psleep, false))
+        | Some m -> (m, None))
+    with
+    | id, Some (m, version, sleep, fresh) ->
+        (id, Some ((id, st, d, m, version, sleep, depth), fresh))
+    | id, None -> (id, None)
   in
+  let total = Atomic.make 0 in
   let budget (s : stats) fresh =
     if fresh then begin
       s.states <- s.states + 1;
@@ -832,113 +635,182 @@ let par_explore_core (type r) ~(empty : r) ~(union : r -> r -> r)
       if n > max_states then raise (Too_many_states n)
     end
   in
-  let st0 = initial ctx in
-  let id0, decision0 = arrive st0 [] in
-  (match decision0 with
-  | `Expand (d, m, version, sleep, fresh) ->
-      budget wstats.(0) fresh;
-      Par.Ws.seed ws (st0, d, m, version, sleep)
-  | `Drop -> assert false);
-  let sp =
-    if Tracer.enabled () then Tracer.span "explore.discover" else Tracer.none
+  let process w (s : stats) (id, st, d, m, version, sleep, depth) push =
+    if depth > s.peak_frontier then s.peak_frontier <- depth;
+    let succs = expand id st in
+    let selected =
+      match reduction with Some r -> r.select succs | None -> succs
+    in
+    if reduce then
+      s.por_cuts <- s.por_cuts + (List.length succs - List.length selected);
+    let explored = ref [] and next = ref [] in
+    let edges =
+      if graph then Array.make (2 * List.length selected) 0 else [||]
+    and k = ref 0 in
+    List.iter
+      (fun (l, st') ->
+        if reduce && List.mem l sleep then s.por_cuts <- s.por_cuts + 1
+        else begin
+          s.edges <- s.edges + 1;
+          let child_sleep =
+            match reduction with
+            | Some r ->
+                List.filter
+                  (fun e -> r.independent e l)
+                  (List.rev_append !explored sleep)
+            | None -> []
+          in
+          let id', arrival = arrive st' child_sleep (depth + 1) in
+          if graph then begin
+            edges.(!k) <- id';
+            edges.(!k + 1) <- label_id w l;
+            k := !k + 2
+          end;
+          (match arrival with
+          | Some (item, fresh) ->
+              budget s fresh;
+              next := item :: !next
+          | None -> on_revisit l st' id');
+          if reduce then explored := l :: !explored
+        end)
+      selected;
+    List.iter push !next;
+    if graph then begin
+      let edges =
+        if !k = Array.length edges then edges else Array.sub edges 0 !k
+      in
+      (* Publish unless a refinement has already superseded this
+         expansion: the item of the latest version always publishes
+         last, under the stripe lock. *)
+      Par.Ptbl.sync tbl d (fun () ->
+          if m.pversion = version then m.pedges <- edges)
+    end
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Tracer.close_span ~attrs:[ ("states", Ev.Int (Atomic.get total)) ] sp)
-    (fun () ->
-      Par.Pool.run pool (fun w ->
-          let s = wstats.(w) in
-          let on_wait, on_steal, on_peak = ws_hooks s in
-          Par.Ws.run ws w ~on_wait ~on_steal ~on_peak
-            (fun (st, d, m, version, sleep) push ->
-              let succs = enabled ctx st in
-              let selected =
-                if reduce then persistent_select local_pred succs else succs
-              in
-              if reduce then
-                s.por_cuts <-
-                  s.por_cuts + (List.length succs - List.length selected);
-              let explored = ref [] in
-              let es = ref [] in
-              List.iter
-                (fun (tid, a, st') ->
-                  if reduce && in_sleep sleep tid a then
-                    s.por_cuts <- s.por_cuts + 1
-                  else begin
-                    s.edges <- s.edges + 1;
-                    let child_sleep =
-                      if reduce then
-                        List.filter
-                          (fun e -> independent e (tid, a))
-                          (List.rev_append !explored sleep)
-                      else []
-                    in
-                    let id', decision = arrive st' child_sleep in
-                    es := (a, id') :: !es;
-                    (match decision with
-                    | `Expand (d', m', v', sleep', fresh) ->
-                        budget s fresh;
-                        push (st', d', m', v', sleep')
-                    | `Drop -> ());
-                    if reduce then explored := (tid, a) :: !explored
-                  end)
-                selected;
-              (* Publish this expansion's edges unless a refinement has
-                 already superseded it: the in-flight item for the
-                 latest version always publishes last under the stripe
-                 lock, so the final graph is each state's expansion
-                 under its final sleep set. *)
-              Par.Ptbl.sync tbl d (fun () ->
-                  if m.pversion = version then m.pedges <- !es))));
-  record_arena ctx (Par.Ptbl.words tbl);
-  let n = Par.Ptbl.length tbl in
-  let succ : (Action.t * int) list array = Array.make n [] in
-  Par.Ptbl.iter tbl (fun id m -> succ.(id) <- m.pedges);
-  let r = fold_graph ~empty ~union ~label ~stats:s succ id0 in
-  join_wstats ~into:s wstats;
-  s.domains <- max s.domains nw;
-  (r, n)
+  let wstats = Array.init nw (fun _ -> create_stats ()) in
+  track_wstats wstats;
+  let ws = Par.Ws.create nw in
+  let sp =
+    if shared && Tracer.enabled () then Tracer.span "explore.discover"
+    else Tracer.none
+  in
+  let root_id =
+    Fun.protect
+      ~finally:(fun () ->
+        Tracer.close_span ~attrs:[ ("states", Ev.Int (Atomic.get total)) ] sp;
+        join_wstats ~into:stats wstats;
+        if shared then stats.domains <- max stats.domains nw)
+      (fun () ->
+        let id, arrival = arrive root [] 1 in
+        (match arrival with
+        | Some (item, fresh) ->
+            budget wstats.(0) fresh;
+            Par.Ws.seed ws item
+        | None -> assert false);
+        Par.Pool.run pool (fun w ->
+            let s = wstats.(w) in
+            let on_wait, on_steal, on_peak = ws_hooks ~shared s in
+            Par.Ws.run ws w ~on_wait ~on_steal ?on_peak (process w s));
+        id)
+  in
+  if shared && Metrics.enabled () then
+    Metrics.record
+      (Metrics.gauge Metrics.global "par.arena_words")
+      (float_of_int (Par.Ptbl.words tbl + arena_words ()));
+  let succ =
+    if graph then begin
+      let succ = Array.make (Par.Ptbl.length tbl) [||] in
+      Par.Ptbl.iter tbl (fun id m -> succ.(id) <- m.pedges);
+      succ
+    end
+    else [||]
+  in
+  { root = root_id; succ; labels; shared }
 
-let run_par = Par.dispatch
+(* The memoised suffix fold over a discovered graph: a state's result is
+   [empty] united with [label l r'] for each edge, [r'] the target's
+   result.  Raises [Cyclic] exactly when a cycle is reachable. *)
+let fold (type r lbl) ~(empty : r) ~(union : r -> r -> r)
+    ~(label : lbl -> r -> r) ~(stats : stats) (g : lbl discovered) : r =
+  let width =
+    Array.fold_left (fun m t -> max m (Hashtbl.length t)) 0 g.labels
+  in
+  let lab = Array.make (Array.length g.labels * width) Fun.id in
+  Array.iter (Hashtbl.iter (fun l i -> lab.(i) <- label l)) g.labels;
+  let n = Array.length g.succ in
+  let memo = Array.make n empty in
+  let mark = Bytes.make n 'u' (* unvisited, on the stack, done *) in
+  let rec go id =
+    match Bytes.get mark id with
+    | 'd' ->
+        stats.memo_hits <- stats.memo_hits + 1;
+        memo.(id)
+    | 's' -> raise Cyclic
+    | _ ->
+        Bytes.set mark id 's';
+        let e = g.succ.(id) in
+        let r = ref empty in
+        for k = 0 to (Array.length e / 2) - 1 do
+          r := union !r (lab.(e.((2 * k) + 1)) (go e.(2 * k)))
+        done;
+        memo.(id) <- !r;
+        Bytes.set mark id 'd';
+        !r
+  in
+  let sp =
+    if g.shared && Tracer.enabled () then Tracer.span "explore.fold"
+    else Tracer.none
+  in
+  Fun.protect ~finally:(fun () -> Tracer.close_span sp) (fun () -> go g.root)
 
-let beh_label a sub =
+(* [?jobs]/[?pool] only choose the pool the loop runs on.  The shared
+   one-worker pool runs every job in the calling domain and holds no
+   state, so any domain may use it at any time. *)
+let solo = Par.Pool.create 1
+
+let with_pool ?jobs ?pool f =
+  Par.dispatch ?jobs ?pool ~seq:(fun () -> f solo) ~par:f ()
+
+let prepend_external a sub =
   match a with
   | Action.External v -> Behaviour.Set.map (fun b -> v :: b) sub
   | _ -> sub
 
+(* ------------------------------------------------------------------ *)
+(* Behaviours and state counts                                         *)
+(* ------------------------------------------------------------------ *)
+
+let sys_graph ~pool ~max_states ~stats ?local sys =
+  let ctx = make_ctx ~shared:(Par.Pool.size pool > 1) sys in
+  let reduction =
+    Option.map
+      (fun local -> { select = persistent_select local; independent })
+      local
+  in
+  discover ~pool ~max_states ~stats ~arena_words:ctx.arena_words ?reduction
+    ~digest:state_digest
+    ~expand:(fun _ -> enabled ctx)
+    (initial ctx)
+
 let behaviours ?(max_states = default_max_states) ?local ?stats ?jobs ?pool
     sys =
-  observed "explorer.behaviours" stats (fun stats ->
-      run_par ?jobs ?pool
-        ~seq:(fun () ->
-          fst
-            (explore_core
-               ~empty:(Behaviour.Set.singleton [])
-               ~union:Behaviour.Set.union ~label:beh_label ~max_states ~local
-               ~stats sys))
-        ~par:(fun p ->
-          fst
-            (par_explore_core
-               ~empty:(Behaviour.Set.singleton [])
-               ~union:Behaviour.Set.union ~label:beh_label ~pool:p ~max_states
-               ~local ~stats sys))
-        ())
+  observed "explorer.behaviours" stats @@ fun stats ->
+  with_pool ?jobs ?pool @@ fun pool ->
+  let stats = sink stats in
+  fold
+    ~empty:(Behaviour.Set.singleton [])
+    ~union:Behaviour.Set.union
+    ~label:(fun (_, a) -> prepend_external a)
+    ~stats
+    (sys_graph ~pool ~max_states ~stats ?local sys)
 
 let count_states ?(max_states = default_max_states) ?local ?stats ?jobs ?pool
     sys =
-  observed "explorer.count_states" stats (fun stats ->
-      run_par ?jobs ?pool
-        ~seq:(fun () ->
-          snd
-            (explore_core ~empty:() ~union:(fun () () -> ())
-               ~label:(fun _ () -> ())
-               ~max_states ~local ~stats sys))
-        ~par:(fun p ->
-          snd
-            (par_explore_core ~empty:() ~union:(fun () () -> ())
-               ~label:(fun _ () -> ())
-               ~pool:p ~max_states ~local ~stats sys))
-        ())
+  observed "explorer.count_states" stats @@ fun stats ->
+  with_pool ?jobs ?pool @@ fun pool ->
+  let stats = sink stats in
+  let g = sys_graph ~pool ~max_states ~stats ?local sys in
+  fold ~empty:() ~union:(fun () () -> ()) ~label:(fun _ () -> ()) ~stats g;
+  Array.length g.succ
 
 (* ------------------------------------------------------------------ *)
 (* Streaming executions                                                *)
@@ -946,7 +818,7 @@ let count_states ?(max_states = default_max_states) ?local ?stats ?jobs ?pool
 
 let maximal_executions_seq ?(max_steps = 1_000_000) ?stats sys =
   let s = sink stats in
-  let ctx = make_ctx sys in
+  let ctx = make_ctx ~shared:false sys in
   let steps = ref 0 in
   let rec go st rev_path : Interleaving.t Seq.t =
    fun () ->
@@ -954,7 +826,7 @@ let maximal_executions_seq ?(max_steps = 1_000_000) ?stats sys =
     | [] -> Seq.Cons (List.rev rev_path, Seq.empty)
     | succs ->
         Seq.flat_map
-          (fun (tid, a, st') () ->
+          (fun ((tid, a), st') () ->
             incr steps;
             s.edges <- s.edges + 1;
             if !steps > max_steps then raise (Too_many_states !steps);
@@ -964,189 +836,118 @@ let maximal_executions_seq ?(max_steps = 1_000_000) ?stats sys =
   go (initial ctx) []
 
 let maximal_executions ?max_steps ?stats sys =
-  observed "explorer.executions" stats (fun _ ->
-      List.of_seq (maximal_executions_seq ?max_steps ?stats:None sys))
+  observed "explorer.executions" stats (fun stats ->
+      List.of_seq (maximal_executions_seq ?max_steps ?stats sys))
 
 let count_executions ?max_steps ?stats sys =
-  observed "explorer.executions" stats (fun _ ->
+  observed "explorer.executions" stats (fun stats ->
       Seq.fold_left
         (fun n _ -> n + 1)
         0
-        (maximal_executions_seq ?max_steps ?stats:None sys))
+        (maximal_executions_seq ?max_steps ?stats sys))
 
 (* ------------------------------------------------------------------ *)
 (* Witness searches                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* wall time and telemetry are handled by [observed] in the entry point *)
-let seq_find_adjacent_race ~max_states ?stats vol sys =
-  let s = sink stats in
-  let ctx = make_ctx sys in
-  let visited : (int, unit) Hashtbl.t = Hashtbl.create 997 in
-  (* Each state's enabled set is needed both when the state is
-     visited and for the adjacent-race check on every incoming edge:
-     compute it once and cache it by state id. *)
-  let succ_tbl = Hashtbl.create 997 in
-  let succs_of id st =
-    match Hashtbl.find_opt succ_tbl id with
-    | Some l -> l
-    | None ->
-        let l = enabled ctx st in
-        Hashtbl.add succ_tbl id l;
-        l
-  in
-  let count = ref 0 in
-  let exception Found of Interleaving.t in
-  let rec go id succs rev_path depth =
-    Hashtbl.add visited id ();
-    incr count;
-    s.states <- s.states + 1;
-    if !count > max_states then raise (Too_many_states !count);
-    if depth > s.peak_frontier then s.peak_frontier <- depth;
-    List.iter
-      (fun (tid, a, st') ->
-        s.edges <- s.edges + 1;
-        let id', _ = state_id ctx st' in
-        let succs' = succs_of id' st' in
-        List.iter
-          (fun (tid', b, _) ->
-            if
-              (not (Thread_id.equal tid tid'))
-              && Action.conflicting vol a b
-            then
-              raise
-                (Found
-                   (List.rev
-                      (Interleaving.pair tid' b
-                      :: Interleaving.pair tid a
-                      :: rev_path))))
-          succs';
-        if not (Hashtbl.mem visited id') then
-          go id' succs'
-            (Interleaving.pair tid a :: rev_path)
-            (depth + 1))
-      succs
-  in
-  let st0 = initial ctx in
-  let id0, _ = state_id ctx st0 in
-  try
-    go id0 (succs_of id0 st0) [] 1;
-    None
-  with Found i -> Some i
+(* A witness search walks scheduler states carrying the path that first
+   reached each one, reversed: its head is the edge the state is
+   expanded by. *)
+type 'ts walker = { at : 'ts state; path : Interleaving.t }
 
-(* Parallel race search: phase-1 discovery records (thread, action)
-   edge labels and BFS-tree parents (a fresh state's parent edge is
-   fixed by whichever worker interned it first — a well-founded chain
-   back to the root); the adjacent-conflict scan and witness-path
-   reconstruction then run sequentially on the compact graph.  The DRF
-   verdict is deterministic; when a program does race, the particular
-   witness interleaving may differ from the sequential engine's (and
-   between parallel runs), as any adjacent race is a valid witness. *)
-let par_find_adjacent_race ~pool ~max_states ?stats vol sys =
-  let s = sink stats in
-  let ctx = make_par_ctx sys in
-  let nw = Par.Pool.size pool in
-  let wstats = Array.init nw (fun _ -> create_stats ()) in
-  track_wstats wstats;
-  Fun.protect ~finally:(fun () -> untrack_wstats wstats) @@ fun () ->
-  let expand _w st =
-    List.map (fun (tid, a, st') -> ((tid, a), st')) (enabled ctx st)
-  in
-  let n, succ, parent, id0 =
-    par_discover ~pool ~max_states ~wstats ~expand
-      ~intern:(fun st -> state_id ctx st)
-      (initial ctx)
-  in
-  record_arena ctx 0;
-  join_wstats ~into:s wstats;
-  s.domains <- max s.domains nw;
-  let path_to u =
-    let rec up id acc =
-      if id = id0 then acc
-      else
-        match parent.(id) with
-        | Some (p, (tid, a)) -> up p (Interleaving.pair tid a :: acc)
-        | None -> acc
-    in
-    up u []
-  in
-  let exception Found of Interleaving.t in
-  try
-    for u = 0 to n - 1 do
-      List.iter
-        (fun ((tid, a), v) ->
-          List.iter
-            (fun ((tid', b), _) ->
-              if
-                (not (Thread_id.equal tid tid'))
-                && Action.conflicting vol a b
-              then
-                raise
-                  (Found
-                     (path_to u
-                     @ [
-                         Interleaving.pair tid a; Interleaving.pair tid' b;
-                       ])))
-            succ.(v))
-        succ.(u)
-    done;
-    None
-  with Found i -> Some i
+let steps w succs =
+  List.map
+    (fun (((tid, a) as l), st') ->
+      (l, { at = st'; path = Interleaving.pair tid a :: w.path }))
+    succs
 
+let walk ~pool ~max_states ~stats ?on_revisit ~expand ctx =
+  ignore
+    (discover ~pool ~max_states ~stats:(sink stats) ~graph:false
+       ~arena_words:ctx.arena_words ?on_revisit
+       ~digest:(fun w -> state_digest w.at)
+       ~expand
+       { at = initial ctx; path = [] })
+
+(* The race check runs on every edge, against the enabled set of the
+   edge's target: at the target's expansion for the edge that first
+   reached it, on arrival for every later edge.  Each state's enabled
+   set is computed once, at its expansion; [seen] keeps its labels, by
+   state id, for the later edges.  Every edge of a path is checked
+   before its target expands, so a witness's first adjacent race is its
+   last two actions. *)
 let find_adjacent_race ?(max_states = default_max_states) ?stats ?jobs ?pool
     vol sys =
-  observed "explorer.race_search" stats (fun stats ->
-      run_par ?jobs ?pool
-        ~seq:(fun () -> seq_find_adjacent_race ~max_states ?stats vol sys)
-        ~par:(fun p ->
-          par_find_adjacent_race ~pool:p ~max_states ?stats vol sys)
-        ())
+  observed "explorer.race_search" stats @@ fun stats ->
+  with_pool ?jobs ?pool @@ fun pool ->
+  let shared = Par.Pool.size pool > 1 in
+  let ctx = make_ctx ~shared sys in
+  let seen =
+    if shared then Par.Ptbl.create ~dummy:None ()
+    else Par.Ptbl.create_local ~dummy:None ()
+  in
+  let remember id labels =
+    ignore (Par.Ptbl.update seen [| id |] (fun _ -> (Some labels, ())))
+  in
+  let exception Found of Interleaving.t in
+  let check path labels =
+    match path with
+    | [] -> ()
+    | { Interleaving.tid; action = a } :: _ ->
+        List.iter
+          (fun (tid', b) ->
+            if (not (Thread_id.equal tid tid')) && Action.conflicting vol a b
+            then raise (Found (List.rev (Interleaving.pair tid' b :: path))))
+          labels
+  in
+  let expand id w =
+    let succs = enabled ctx w.at in
+    let labels = List.map fst succs in
+    check w.path labels;
+    remember id labels;
+    steps w succs
+  in
+  (* A target still in flight elsewhere has no labels yet: compute them. *)
+  let on_revisit _ w id =
+    let cached m =
+      let m = Option.join m in
+      (m, m)
+    in
+    match snd (Par.Ptbl.update seen [| id |] cached) with
+    | Some labels -> check w.path labels
+    | None ->
+        let labels = List.map fst (enabled ctx w.at) in
+        check w.path labels;
+        remember id labels
+  in
+  match walk ~pool ~max_states ~stats ~on_revisit ~expand ctx with
+  | () -> None
+  | exception Found i -> Some i
 
 let is_drf ?max_states ?stats ?jobs ?pool vol sys =
   Option.is_none (find_adjacent_race ?max_states ?stats ?jobs ?pool vol sys)
 
 let find_deadlock ?(max_states = default_max_states) ?stats sys =
-  observed "explorer.deadlock" stats (fun stats ->
-      let s = sink stats in
-      let ctx = make_ctx sys in
-      let visited : (int, unit) Hashtbl.t = Hashtbl.create 997 in
-      let count = ref 0 in
-      let exception Found of Interleaving.t in
-      let rec go st rev_path depth =
-        let id, fresh = state_id ctx st in
-        if fresh then begin
-          Hashtbl.add visited id ();
-          incr count;
-          s.states <- s.states + 1;
-          if !count > max_states then raise (Too_many_states !count);
-          if depth > s.peak_frontier then s.peak_frontier <- depth;
-          match enabled ctx st with
-          | [] ->
-              let blocked =
-                Array.exists
-                  (fun ts -> ctx.sys.System.steps ts <> [])
-                  st.threads
-              in
-              if blocked then raise (Found (List.rev rev_path))
-          | succs ->
-              List.iter
-                (fun (tid, a, st') ->
-                  s.edges <- s.edges + 1;
-                  go st' (Interleaving.pair tid a :: rev_path) (depth + 1))
-                succs
-        end
-      in
-      try
-        go (initial ctx) [] 1;
-        None
-      with Found i -> Some i)
+  observed "explorer.deadlock" stats @@ fun stats ->
+  let ctx = make_ctx ~shared:false sys in
+  let exception Found of Interleaving.t in
+  let expand _ w =
+    match enabled ctx w.at with
+    | [] when Array.exists (fun ts -> sys.System.steps ts <> []) w.at.threads
+      ->
+        raise (Found (List.rev w.path))
+    | succs -> steps w succs
+  in
+  match walk ~pool:solo ~max_states ~stats ~expand ctx with
+  | () -> None
+  | exception Found i -> Some i
 
 (* ------------------------------------------------------------------ *)
 (* Randomised sampling                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let sample_runs ?(max_actions = 10_000) ~seed ~runs sys =
-  let ctx = make_ctx sys in
+  let ctx = make_ctx ~shared:false sys in
   Seq.init runs (fun run ->
       (* one generator per run, so the stream is re-evaluable and a
          consumer may stop after any prefix without changing the rest *)
@@ -1157,7 +958,7 @@ let sample_runs ?(max_actions = 10_000) ~seed ~runs sys =
           match enabled ctx st with
           | [] -> List.rev rev_beh
           | succs ->
-              let _, a, st' =
+              let (_, a), st' =
                 List.nth succs (Random.State.int rng (List.length succs))
               in
               let rev_beh =
@@ -1179,7 +980,7 @@ let sample_behaviours ?max_actions ~seed ~runs ?stats sys =
         (sample_runs ?max_actions ~seed ~runs sys))
 
 (* ------------------------------------------------------------------ *)
-(* Generic graph engine (TSO/PSO machines)                             *)
+(* Explicit graphs (TSO/PSO machines)                                  *)
 (* ------------------------------------------------------------------ *)
 
 type 'st graph = {
@@ -1188,72 +989,16 @@ type 'st graph = {
   graph_digest : 'st -> int list;
 }
 
-let graph_label a sub =
-  match a with
-  | Some (Action.External v) -> Behaviour.Set.map (fun b -> v :: b) sub
-  | _ -> sub
-
-let seq_graph_behaviours ~max_states ?stats g =
-  observed "explorer.graph" stats (fun stats ->
-      let s = sink stats in
-      let ids = Par.Ptbl.create_local ~dummy:() () in
-      let memo : (int, Behaviour.Set.t) Hashtbl.t = Hashtbl.create 997 in
-      let on_stack : (int, unit) Hashtbl.t = Hashtbl.create 97 in
-      let count = ref 0 in
-      let rec go st depth =
-        let id = Par.Ptbl.intern ids (Array.of_list (g.graph_digest st)) in
-        match Hashtbl.find_opt memo id with
-        | Some set ->
-            s.memo_hits <- s.memo_hits + 1;
-            set
-        | None ->
-            if Hashtbl.mem on_stack id then raise Cyclic;
-            Hashtbl.add on_stack id ();
-            incr count;
-            s.states <- s.states + 1;
-            if !count > max_states then raise (Too_many_states !count);
-            if depth > s.peak_frontier then s.peak_frontier <- depth;
-            let set =
-              List.fold_left
-                (fun acc (a, st') ->
-                  s.edges <- s.edges + 1;
-                  let sub = go st' (depth + 1) in
-                  Behaviour.Set.union acc (graph_label a sub))
-                (Behaviour.Set.singleton [])
-                (g.graph_transitions st)
-            in
-            Hashtbl.remove on_stack id;
-            Hashtbl.replace memo id set;
-            set
-      in
-      go g.graph_initial 1)
-
-let par_graph_behaviours ~pool ~max_states ?stats g =
-  observed "explorer.graph" stats (fun stats ->
-      let s = sink stats in
-      let ids = Par.Ptbl.create ~dummy:() () in
-      let nw = Par.Pool.size pool in
-      let wstats = Array.init nw (fun _ -> create_stats ()) in
-      track_wstats wstats;
-      Fun.protect ~finally:(fun () -> untrack_wstats wstats) @@ fun () ->
-      let _n, succ, _parents, id0 =
-        par_discover ~pool ~max_states ~wstats
-          ~expand:(fun _ st -> g.graph_transitions st)
-          ~intern:(fun st ->
-            Par.Ptbl.intern_fresh ids (Array.of_list (g.graph_digest st)))
-          g.graph_initial
-      in
-      let r =
-        fold_graph
-          ~empty:(Behaviour.Set.singleton [])
-          ~union:Behaviour.Set.union ~label:graph_label ~stats:s succ id0
-      in
-      join_wstats ~into:s wstats;
-      s.domains <- max s.domains nw;
-      r)
-
 let graph_behaviours ?(max_states = default_max_states) ?stats ?jobs ?pool g =
-  run_par ?jobs ?pool
-    ~seq:(fun () -> seq_graph_behaviours ~max_states ?stats g)
-    ~par:(fun p -> par_graph_behaviours ~pool:p ~max_states ?stats g)
-    ()
+  observed "explorer.graph" stats @@ fun stats ->
+  with_pool ?jobs ?pool @@ fun pool ->
+  let stats = sink stats in
+  fold
+    ~empty:(Behaviour.Set.singleton [])
+    ~union:Behaviour.Set.union
+    ~label:(function Some a -> prepend_external a | None -> Fun.id)
+    ~stats
+    (discover ~pool ~max_states ~stats
+       ~digest:(fun st -> Array.of_list (g.graph_digest st))
+       ~expand:(fun _ -> g.graph_transitions)
+       g.graph_initial)

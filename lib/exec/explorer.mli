@@ -1,19 +1,19 @@
-(** The unified exploration engine.
+(** The exploration engine.
 
-    A depth-first scheduler over an abstract thread system
-    ({!System.t}) and a generic memoised search over explicit transition
-    graphs ({!type-graph}).  All exhaustive analyses in the repository —
-    behaviour enumeration, state counting, race and deadlock witness
-    searches, TSO/PSO machine exploration — run on this engine.
+    Every exhaustive analysis in the repository — behaviour enumeration,
+    state counting, race and deadlock witness searches, TSO/PSO machine
+    exploration — runs on one discovery loop followed, where a result is
+    needed per state, by one memoised fold over the discovered graph.
+    The loop is generic over the state, its digest and the transition
+    labels; thread systems ({!System.t}) and explicit transition graphs
+    ({!type-graph}) are two ways of feeding it.
 
-    Three properties distinguish it from a naive search:
-
-    - {b Hash-consed states.}  Scheduler states are digested to compact
-      int tuples: thread-state keys are interned once per distinct
-      thread configuration, shared memory and the monitor table are
-      interned once per distinct value, and the memo/visited tables are
-      keyed on the resulting digest.  Successor states update only the
-      digest component their action touches.
+    - {b Hash-consed, packed states.}  Scheduler states are digested to
+      compact int tuples: thread-state keys are interned once per
+      distinct thread configuration, shared memory and the monitor
+      table once per distinct value.  The visited set stores digests
+      in unboxed arenas ({!Par.Ptbl}), and each state's edges are one
+      unboxed [int array] of (target, label) id pairs.
 
     - {b Sleep-set partial-order reduction.}  When a [local] predicate
       is supplied, exploration combines persistent-set selection with
@@ -21,6 +21,9 @@
       from {!Action.conflicting} (plus monitor and external-action
       dependence).  Reduced and unreduced behaviour sets coincide; see
       DESIGN.md for the soundness argument.
+
+    - {b Work stealing at any pool size.}  The loop runs on the
+      {!Par.Ws} scheduler; see {e Pool size} below.
 
     - {b Streaming.}  Maximal executions are produced as a lazy
       {!Seq.t}, so consumers searching for a witness stop at the first
@@ -45,11 +48,11 @@ type stats = {
   mutable memo_hits : int;  (** visits answered from the memo table *)
   mutable por_cuts : int;  (** transitions pruned by the reduction *)
   mutable peak_frontier : int;
-      (** maximum DFS stack depth (sequential) or per-worker frontier
-          buffer length (parallel) *)
+      (** depth of the deepest state expanded, the root being 1: at
+          pool size 1 the depth of the depth-first search *)
   mutable wall : float;  (** accumulated wall-clock seconds (monotonic) *)
-  mutable domains : int;  (** pool size of the last parallel run; 0 if
-                              every run was sequential *)
+  mutable domains : int;
+      (** largest pool size a run used; 0 if every run used one worker *)
   mutable steals : int;
       (** successful steal scans across workers (each moves up to half
           of a victim deque) *)
@@ -70,7 +73,7 @@ val merge_stats : into:stats -> stats -> unit
 
 val pp_stats : Format.formatter -> stats -> unit
 (** Human-readable rendering.  The parallel counters are printed only
-    when [domains > 0], so sequential output is unchanged. *)
+    when [domains > 0], i.e. when some run used several workers. *)
 
 val stats_to_json : stats -> string
 (** One-line JSON object (states, edges, memo_hits, por_cuts,
@@ -90,7 +93,7 @@ val live_progress : unit -> stats
 (** A consistent point-in-time view of total exploration progress:
     everything already published into [Metrics.global] {e plus} the
     deltas of every stats record a run is actively mutating (entry
-    points in flight, per-worker records of a parallel run).  Safe to
+    points in flight, per-worker records of the discovery loop).  Safe to
     call from any domain — this is the heartbeat sampler's progress
     source.  The hand-off from "in flight" to "published" happens under
     the same lock this reads, so consecutive calls are monotone in
@@ -109,32 +112,34 @@ val independent : Thread_id.t * Action.t -> Thread_id.t * Action.t -> bool
 
 (** {1 Exhaustive analyses over thread systems}
 
-    {2 Parallel exploration}
+    {2 Pool size}
 
-    The exhaustive analyses below accept [?jobs] / [?pool] to run the
-    state-space search across multiple domains ({!Par}).  [?pool] (a
-    caller-managed {!Par.Pool.t}, reused across many explorations)
-    takes precedence over [?jobs] (a one-shot pool per call, resolved
-    through {!Par.resolve_jobs}: [0] means all recommended cores).
-    When neither is given, or the resolved size is 1, the sequential
-    engine runs completely unchanged — no mutexes, no atomics.
+    The exhaustive analyses below (all but {!find_deadlock}) accept
+    [?jobs] / [?pool], which only
+    choose the {!Par.Pool.t} the one loop runs on.  [?pool] (a
+    caller-managed pool, reused across many explorations) takes
+    precedence over [?jobs] (a one-shot pool per call, resolved through
+    {!Par.resolve_jobs}: [0] means all recommended cores).  Without
+    either, or at size 1, the loop runs in the calling domain on the
+    single-stripe, mutex-free tables ({!Par.Ptbl.create_local}), pushing
+    children so that it searches depth-first in expansion order.
 
-    The parallel engine discovers the state graph across per-worker
+    Larger pools discover the state graph across per-worker
     work-stealing deques ({!Par.Ws}: own deque LIFO, steals FIFO;
     dedupe through the striped packed digest table {!Par.Ptbl}), then
-    folds results over the discovered compact graph sequentially.  The
-    full reduction survives parallelism: persistent-set selection is a
-    pure per-state decision, and sleep sets travel {e inside} each work
-    item, with per-state refinement (intersection + re-expansion) in
-    the digest table's meta slots converging to an order-independent
-    fixpoint.  {b Results are identical} to the sequential engine:
-    same behaviour sets, same state counts — [count_states] at
-    [jobs N] equals [jobs 1] {e exactly}, with or without [local] —
-    same DRF verdicts, same [Cyclic] / [Too_many_states] outcomes.
-    Only race-witness {e choice} may differ where several witnesses
-    exist, and under reduction the [edges]/[por_cuts] {e work}
-    counters may exceed the sequential figures (sleep-set refinements
-    re-expand a state; the state and result sets are unaffected). *)
+    fold results over the discovered graph.  The full reduction holds
+    at every size: persistent-set selection is a pure per-state
+    decision, and sleep sets travel {e inside} each work item, with
+    per-state refinement (intersection + re-expansion) in the digest
+    table's meta slots converging to an order-independent fixpoint.
+    {b Results are identical} at every pool size: same behaviour sets,
+    same state counts — [count_states] is exact, with or without
+    [local] — same DRF verdicts, same [Cyclic] /
+    [Too_many_states] outcomes.  Only witness {e choice} may differ
+    where several witnesses exist, and under reduction the
+    [edges]/[por_cuts] {e work} counters depend on the schedule
+    (sleep-set refinements re-expand a state; the state and result sets
+    are unaffected). *)
 
 val behaviours :
   ?max_states:int ->
@@ -146,12 +151,11 @@ val behaviours :
   Behaviour.Set.t
 (** The set of behaviours of all executions.  Prefix-closed.
 
-    [local] enables the reduction (sleep sets sequentially, persistent
-    sets under [jobs]/[pool]); it must return [true] only for actions
-    that are invisible (not external) and independent of every other
-    thread — accesses to locations touched by a single thread.  The
-    behaviour set is identical with and without [local], and with and
-    without parallelism. *)
+    [local] enables the reduction (persistent sets and sleep sets); it
+    must return [true] only for actions that are invisible (not
+    external) and independent of every other thread — accesses to
+    locations touched by a single thread.  The behaviour set is
+    identical with and without [local], and at every pool size. *)
 
 val count_states :
   ?max_states:int ->
@@ -163,10 +167,9 @@ val count_states :
   int
 (** Number of distinct scheduler states explored; [local] as in
     {!behaviours} (the reduced count can be much smaller).  The count
-    is exact across parallelism: [jobs N] equals [jobs 1] for every
-    [N], with or without [local] — parallel work items carry their own
-    sleep sets, so the parallel search prunes exactly as hard as the
-    sequential one. *)
+    is the same at every pool size, with or without [local]: work items
+    carry their own sleep sets, so every schedule prunes exactly as
+    hard. *)
 
 val maximal_executions_seq :
   ?max_steps:int -> ?stats:stats -> 'ts System.t -> Interleaving.t Seq.t
@@ -191,11 +194,12 @@ val find_adjacent_race :
   'ts System.t ->
   Interleaving.t option
 (** A witness execution whose last two actions are adjacent conflicting
-    accesses by different threads, if one exists.  Each state's enabled
-    set is computed once and shared between the visit and the per-edge
-    race checks.  Under [jobs]/[pool] the existence verdict is
-    deterministic and agrees with the sequential search; the particular
-    witness returned may differ (any adjacent race is a valid
+    accesses by different threads, if one exists.  Every edge is checked
+    against its target's enabled set, computed once per state and shared
+    between the state's expansion and the checks on its incoming edges;
+    the search stops at the first race.  The verdict is the same at
+    every pool size; the particular witness may differ between sizes
+    and, above size 1, between runs (any adjacent race is a valid
     witness). *)
 
 val is_drf :
@@ -210,7 +214,9 @@ val is_drf :
 val find_deadlock :
   ?max_states:int -> ?stats:stats -> 'ts System.t -> Interleaving.t option
 (** A witness execution reaching a state with no enabled transition
-    while some thread still offers steps (blocked on a lock). *)
+    while some thread still offers steps (blocked on a lock).  The
+    search runs the one loop on a single worker and stops at the first
+    such state. *)
 
 (** {1 Randomised sampling} *)
 
@@ -233,8 +239,8 @@ val sample_behaviours :
 (** {1 Generic graph exploration}
 
     For machines whose transition relation is not a {!System.t} — the
-    TSO and PSO store-buffer machines — the engine exposes a memoised
-    behaviour search over an explicit graph. *)
+    TSO and PSO store-buffer machines — the same loop and fold run over
+    an explicit graph. *)
 
 type 'st graph = {
   graph_initial : 'st;
@@ -253,9 +259,9 @@ val graph_behaviours :
   Behaviour.Set.t
 (** Prefix-closed behaviour set of the graph, memoised on the interned
     digest.  Raises {!Cyclic} / {!Too_many_states} as above.
-    [jobs]/[pool] parallelise the graph discovery as described under
-    {e Parallel exploration}; the resulting set is identical.  Under
-    [jobs]/[pool] the engine calls [graph_transitions] and
-    [graph_digest] from several worker domains concurrently, so any
-    state the closures share (e.g. interning tables) must be
-    thread-safe — {!Par.Intern} is made for this. *)
+    [jobs]/[pool] choose the pool as described under {e Pool size}; the
+    resulting set is identical at every size.  Above size 1 the engine
+    calls [graph_transitions] and [graph_digest] from several worker
+    domains concurrently, so any state the closures share (e.g.
+    interning tables) must be thread-safe — {!Par.Intern.create} is
+    made for this. *)

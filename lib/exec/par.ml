@@ -92,9 +92,9 @@ module Pool = struct
           (fun () -> f w)
 
   let run t f =
-    let f = traced f in
     if t.size = 1 then f 0
     else begin
+      let f = traced f in
       Mutex.lock t.mu;
       t.job <- Some f;
       t.running <- t.size - 1;
@@ -376,9 +376,9 @@ module Ws = struct
         Mutex.unlock t.mu
       end
       else begin
-        let t0 = Clock.now () in
+        let t0 = Safeopt_obs.Clock.now () in
         Condition.wait t.wake t.mu;
-        let dt = Clock.elapsed t0 in
+        let dt = Safeopt_obs.Clock.elapsed t0 in
         Atomic.decr t.sleepers;
         Mutex.unlock t.mu;
         (* Genuine starvation only: a wakeup for termination (or an
@@ -428,7 +428,7 @@ let stripes = 64 (* power of two; stripe = hash land (stripes - 1) *)
 module Intern = struct
   type t = {
     counter : int Atomic.t;
-    locks : Mutex.t array;
+    locks : Mutex.t array;  (** empty: the single-stripe, lock-free variant *)
     tbls : (string, int) Hashtbl.t array;
   }
 
@@ -439,19 +439,26 @@ module Intern = struct
       tbls = Array.init stripes (fun _ -> Hashtbl.create 64);
     }
 
+  let create_local () =
+    { counter = Atomic.make 0; locks = [||]; tbls = [| Hashtbl.create 64 |] }
+
+  let find_or_add t i s =
+    match Hashtbl.find_opt t.tbls.(i) s with
+    | Some id -> id
+    | None ->
+        let id = Atomic.fetch_and_add t.counter 1 in
+        Hashtbl.add t.tbls.(i) s id;
+        id
+
   let id t s =
-    let i = Hashtbl.hash s land (stripes - 1) in
-    Mutex.lock t.locks.(i);
-    let r =
-      match Hashtbl.find_opt t.tbls.(i) s with
-      | Some id -> id
-      | None ->
-          let id = Atomic.fetch_and_add t.counter 1 in
-          Hashtbl.add t.tbls.(i) s id;
-          id
-    in
-    Mutex.unlock t.locks.(i);
-    r
+    if Array.length t.locks = 0 then find_or_add t 0 s
+    else begin
+      let i = Hashtbl.hash s land (stripes - 1) in
+      Mutex.lock t.locks.(i);
+      let r = find_or_add t i s in
+      Mutex.unlock t.locks.(i);
+      r
+    end
 end
 
 (* ------------------------------------------------------------------ *)
@@ -513,7 +520,7 @@ module Ptbl = struct
       tab = Array.init stripes (fun _ -> make_stripe dummy);
     }
 
-  (* Single-stripe, lock-free variant for the sequential engine: same
+  (* Single-stripe, lock-free variant for a lone worker: same
      arena layout, no mutex on the hot path. *)
   let create_local ~dummy () =
     {

@@ -23,11 +23,10 @@
       indexing, so every derived result (state counts, behaviour sets)
       is deterministic.
 
-    Determinism contract: parallel explorations built on these
-    primitives visit the same state set and produce the same canonical
-    result values as their sequential counterparts; only internal id
-    assignment and witness-path {e choice} (where several witnesses
-    exist) may differ. *)
+    Determinism contract: explorations built on these primitives visit
+    the same state set and produce the same canonical result values at
+    every pool size; only internal id assignment and witness-path
+    {e choice} (where several witnesses exist) may differ. *)
 
 val resolve_jobs : int -> int
 (** [resolve_jobs 0] is [Domain.recommended_domain_count ()]; positive
@@ -51,10 +50,10 @@ module Pool : sig
       (worker 0 is the calling domain) and returns when all have
       finished.  If any worker raises, the first exception is re-raised
       in the caller after the join.  Not reentrant: do not call [run]
-      from inside [f].  When the {!Safeopt_obs.Tracer} sink is live,
-      each worker's participation is recorded as a ["pool.worker"] span
-      on its own domain lane; with tracing disabled the job runs
-      untouched. *)
+      from inside [f].  A pool of size 1 just calls [f 0].  In larger
+      pools, when the {!Safeopt_obs.Tracer} sink is live, each worker's
+      participation is recorded as a ["pool.worker"] span on its own
+      domain lane; with tracing disabled the job runs untouched. *)
 
   val map_list : t -> (int -> 'a -> 'b) -> 'a list -> 'b list
   (** Dynamic parallel map: elements are claimed one at a time from an
@@ -164,10 +163,14 @@ module Intern : sig
 
   val create : unit -> t
 
+  val create_local : unit -> t
+  (** Single-table variant with the mutexes elided, for tables only
+      one domain uses. *)
+
   val id : t -> string -> int
-  (** Thread-safe interning: equal strings get equal ids; fresh strings
-      draw the next id from an atomic counter.  Striped by hash, one
-      mutex per stripe. *)
+  (** Interning: equal strings get equal ids; fresh strings draw the
+      next id from an atomic counter.  Thread-safe for {!create} tables
+      (striped by hash, one mutex per stripe). *)
 end
 
 (** Packed-arena digest table: the visited-set of the exploration
@@ -186,7 +189,7 @@ module Ptbl : sig
 
   val create_local : dummy:'a -> unit -> 'a t
   (** Single-stripe variant with the mutex elided — same packed
-      layout for the sequential engine, no synchronisation cost. *)
+      layout for a lone worker, no synchronisation cost. *)
 
   val update : 'a t -> Ikey.t -> ('a option -> 'a * 'r) -> int * 'r
   (** [update t d f]: the one locked read-modify-write.  Under the

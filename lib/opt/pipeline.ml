@@ -4,6 +4,7 @@ open Safeopt_exec
 module Metrics = Safeopt_obs.Metrics
 module Tracer = Safeopt_obs.Tracer
 module Ev = Safeopt_obs.Event
+module Clock = Safeopt_obs.Clock
 
 (* --- The unsafe mutation-control pass ---------------------------------- *)
 

@@ -46,6 +46,16 @@ let test_executions () =
     (List.length execs)
     (Explorer.count_executions (Traceset_system.make sb_ts))
 
+(* The caller's stats record sees the transitions the stream walked. *)
+let test_executions_stats () =
+  let s = Explorer.create_stats () in
+  ignore (Explorer.maximal_executions ~stats:s (Traceset_system.make sb_ts));
+  check_b "maximal_executions counts edges" true (s.Explorer.edges > 0);
+  let s' = Explorer.create_stats () in
+  ignore (Explorer.count_executions ~stats:s' (Traceset_system.make sb_ts));
+  check_b "count_executions counts the same edges" true
+    (s'.Explorer.edges = s.Explorer.edges)
+
 let test_race_search () =
   check_b "sb racy" false (Explorer.is_drf none (Traceset_system.make sb_ts));
   let locked =
@@ -56,7 +66,18 @@ let test_race_search () =
         [ st 1; lk "m"; r "x" 1; ul "m" ];
       ]
   in
-  check_b "locked drf" true (Explorer.is_drf none (Traceset_system.make locked))
+  check_b "locked drf" true (Explorer.is_drf none (Traceset_system.make locked));
+  (* The one race, W[x=1] then R[x=1], needs thread 1's R[y=0] first, so
+     its state is first reached by that read: only the check on the
+     second edge into the state sees it. *)
+  let late =
+    Traceset.of_list [ [ st 0; w "x" 1 ]; [ st 1; r "y" 0; r "x" 1 ] ]
+  in
+  List.iter
+    (fun jobs ->
+      check_b "race behind a revisited state" false
+        (Explorer.is_drf ~jobs none (Traceset_system.make late)))
+    [ 1; 2 ]
 
 let test_locks_block () =
   (* Two threads both want m; the engine must serialise them. *)
@@ -250,6 +271,7 @@ let () =
         [
           Alcotest.test_case "behaviours" `Quick test_behaviours;
           Alcotest.test_case "maximal executions" `Quick test_executions;
+          Alcotest.test_case "execution stats" `Quick test_executions_stats;
           Alcotest.test_case "race search" `Quick test_race_search;
           Alcotest.test_case "locks" `Quick test_locks_block;
           Alcotest.test_case "deadlock detection" `Quick test_deadlock;

@@ -259,6 +259,164 @@ let test_graph_parallel () =
     (Safeopt_tso.Pso.program_behaviours sb)
     (Safeopt_tso.Pso.program_behaviours ~pool sb)
 
+(* --- witnesses ----------------------------------------------------------- *)
+
+(* Replay an interleaving step by step through the thread system, with
+   the scheduler's rules restated here rather than taken from the
+   explorer: reads see the current memory, an RMW reads and writes in
+   one step, locks are free or held by the locker (re-entrant), unlocks
+   release a held lock.  [final] judges the state the replay ends in. *)
+let replay (sys : _ System.t) ~final (i : Interleaving.t) =
+  let open Safeopt_trace in
+  let read mem l =
+    Option.value ~default:Value.default (Location.Map.find_opt l mem)
+  in
+  let enabled mem locks tid = function
+    | System.Read (l, k) -> k (read mem l) <> None
+    | System.Rmw (l, k) -> k (read mem l) <> []
+    | System.Emit (Action.Lock m, _) -> (
+        match Monitor.Map.find_opt m locks with
+        | Some (o, _) -> Thread_id.equal o tid
+        | None -> true)
+    | System.Emit (Action.Unlock m, _) -> (
+        match Monitor.Map.find_opt m locks with
+        | Some (o, _) -> Thread_id.equal o tid
+        | None -> false)
+    | System.Emit _ -> true
+  in
+  let rec go threads mem locks = function
+    | [] ->
+        final
+          (Array.to_list threads
+          |> List.mapi (fun tid ts ->
+                 List.map (enabled mem locks tid) (sys.System.steps ts)))
+    | { Interleaving.tid; action } :: rest ->
+        let next ts' mem locks =
+          let threads = Array.copy threads in
+          threads.(tid) <- ts';
+          go threads mem locks rest
+        in
+        List.exists
+          (fun step ->
+            match (step, action) with
+            | System.Read (l, k), Action.Read (l', v)
+              when Location.equal l l' && v = read mem l -> (
+                match k v with Some ts' -> next ts' mem locks | None -> false)
+            | System.Rmw (l, k), Action.Rmw (l', v, w)
+              when Location.equal l l' && v = read mem l ->
+                List.exists
+                  (fun (w', ts') ->
+                    w' = w && next ts' (Location.Map.add l w mem) locks)
+                  (k v)
+            | System.Emit (a, ts'), _
+              when Action.equal a action && enabled mem locks tid step -> (
+                match a with
+                | Action.Write (l, v) ->
+                    next ts' (Location.Map.add l v mem) locks
+                | Action.Lock m ->
+                    let d =
+                      match Monitor.Map.find_opt m locks with
+                      | Some (_, d) -> d
+                      | None -> 0
+                    in
+                    next ts' mem (Monitor.Map.add m (tid, d + 1) locks)
+                | Action.Unlock m ->
+                    let locks =
+                      match Monitor.Map.find_opt m locks with
+                      | Some (_, 1) -> Monitor.Map.remove m locks
+                      | Some (o, d) -> Monitor.Map.add m (o, d - 1) locks
+                      | None -> locks
+                    in
+                    next ts' mem locks
+                | _ -> next ts' mem locks)
+            | _ -> false)
+          (sys.System.steps threads.(tid))
+  in
+  go (Array.of_list sys.System.initial) Safeopt_trace.Location.Map.empty
+    Safeopt_trace.Monitor.Map.empty i
+
+(* A race witness is an execution of the program whose first adjacent
+   conflicting pair is its last two actions. *)
+let valid_race p i =
+  let n = Interleaving.length i in
+  Race.adjacent_race p.Ast.volatile i = Some (n - 2, n - 1)
+  && replay (Thread_system.make p) ~final:(fun _ -> true) i
+
+(* A deadlock witness is an execution ending where no step is enabled
+   while some thread still offers one. *)
+let valid_deadlock p i =
+  replay (Thread_system.make p) i ~final:(fun threads ->
+      List.for_all (List.for_all not) threads
+      && List.exists (fun steps -> steps <> []) threads)
+
+let race_witness_ok ?pool p =
+  match Interp.find_race ?pool p with
+  | Some i -> valid_race p i
+  | None -> true
+
+let deadlock_witness_ok p =
+  match Explorer.find_deadlock (Thread_system.make p) with
+  | Some i -> valid_deadlock p i
+  | None -> true
+
+(* DRF and TSO/PSO verdicts depend on the graph, not the schedule. *)
+let verdict_parity p =
+  let verdicts pool =
+    ( Option.is_some (Interp.find_race ?pool p),
+      Behaviour.Set.elements (Safeopt_tso.Machine.program_behaviours ?pool p),
+      Behaviour.Set.elements (Safeopt_tso.Pso.program_behaviours ?pool p) )
+  in
+  let one = verdicts None in
+  List.for_all (fun pl -> verdicts (Some pl) = one) [ pool2; pool ]
+
+let test_corpus_witnesses () =
+  List.iter
+    (fun (t : Litmus.t) ->
+      let p = Litmus.program t in
+      if not t.Litmus.drf then
+        List.iter
+          (fun (jobs, pool) ->
+            match Interp.find_race ?pool p with
+            | Some i when valid_race p i -> ()
+            | Some i ->
+                Alcotest.failf "%s: invalid race witness at jobs %d: %a"
+                  t.Litmus.name jobs Interleaving.pp i
+            | None ->
+                Alcotest.failf "%s: no race found at jobs %d" t.Litmus.name
+                  jobs)
+          [ (1, None); (2, Some pool2) ];
+      if not (deadlock_witness_ok p && verdict_parity p) then
+        Alcotest.failf "%s: witness or verdict check failed" t.Litmus.name)
+    Corpus.all
+
+let test_deadlock_witness () =
+  List.iter
+    (fun src ->
+      let p = parse src in
+      match Explorer.find_deadlock (Thread_system.make p) with
+      | Some i ->
+          check_b "deadlock witness ends blocked" true (valid_deadlock p i)
+      | None -> Alcotest.failf "must deadlock:\n%s" src)
+    [
+      "thread { lock m; lock n; unlock n; unlock m; }\n\
+       thread { lock n; lock m; unlock m; unlock n; }";
+      "thread { lock a; x := 1; lock b; unlock b; unlock a; }\n\
+       thread { lock b; r1 := x; lock c; unlock c; unlock b; }\n\
+       thread { lock c; lock a; unlock a; unlock c; print r2; }";
+    ]
+
+let qcheck_witnesses =
+  QCheck_alcotest.to_alcotest ~rand:(rand ())
+    (QCheck2.Test.make
+       ~name:
+         "race witnesses replay at jobs {1,2}, deadlock witnesses end \
+          blocked; DRF and TSO/PSO verdicts equal at jobs {1,2,4} (300 \
+          random programs)"
+       ~count:300 ~print:Generators.print_program Generators.program (fun p ->
+         race_witness_ok p
+         && race_witness_ok ~pool:pool2 p
+         && deadlock_witness_ok p && verdict_parity p))
+
 (* --- batch validation and the pipeline -------------------------------- *)
 
 let test_validate_batch () =
@@ -349,6 +507,12 @@ let () =
         [ Alcotest.test_case "stats merge" `Slow test_stats_aggregation ] );
       ( "graph engine",
         [ Alcotest.test_case "tso/pso" `Slow test_graph_parallel ] );
+      ( "witnesses",
+        [
+          Alcotest.test_case "corpus" `Slow test_corpus_witnesses;
+          Alcotest.test_case "deadlock" `Quick test_deadlock_witness;
+          qcheck_witnesses;
+        ] );
       ( "batch",
         [
           Alcotest.test_case "validate_batch" `Slow test_validate_batch;
