@@ -1,22 +1,12 @@
 open Safeopt_trace
 
-let successors ts prefix =
-  (* All actions [a] such that [prefix ++ [a]] is in [ts]. *)
-  Traceset.fold
-    (fun t acc ->
-      if Trace.length t = Trace.length prefix + 1 && Trace.is_prefix prefix t
-      then
-        match List.nth_opt t (Trace.length prefix) with
-        | Some a -> a :: acc
-        | None -> acc
-      else acc)
-    ts []
-
 let make ts =
   let tids = Traceset.thread_ids ts in
   let n = match List.rev tids with [] -> 0 | t :: _ -> t + 1 in
   let steps (tid, prefix) =
-    let succ = successors ts prefix in
+    (* Every [a] with [prefix ++ [a]] in [ts], descending: the order in
+       which the scheduler explores the steps. *)
+    let succ = List.rev_map fst (Traceset.children prefix ts) in
     (* Entry points: from the empty trace, thread [tid] may only start
        itself. *)
     let succ =

@@ -248,7 +248,7 @@ let step_attrs ps =
   ]
 
 let run ?fuel ?max_states ?(validate_each = false) ?(max_iters = 16) ?jobs
-    ?pool ?(validator = Validate.Exhaustive)
+    ?pool ?(validator = Validate.Auto)
     ?(model = Safeopt_model.Memory_model.Sc) spec p =
   let validate_step stats pin pout =
     if validate_each && not (Ast.equal_program pout pin) then begin

@@ -86,10 +86,11 @@ val run :
 (** Run the spec left to right.  A [*] step re-runs its pass until the
     program stops changing (or [max_iters], default 16, is hit).  With
     [validate_each] (default [false]), every pass's output is validated
-    against its input under [validator] (default
-    {!Validate.Exhaustive}; {!Validate.Auto} climbs the
-    static/refine/exhaustive ladder and records the deciding rung in
-    {!pass_stats.ps_validation}) and [model] (default [Sc]) — a pass
+    against its input under [validator] (default {!Validate.Auto},
+    as on the command line: it climbs the static/refine/exhaustive
+    ladder, its verdict always equals {!Validate.Exhaustive}'s, and the
+    deciding rung is recorded in {!pass_stats.ps_validation}) and
+    [model] (default [Sc]) — a pass
     that is safe under SC may be rejected under [Tso]/[Pso] when it
     manufactures a behaviour the weaker machine could not otherwise
     produce; the first failing pass aborts the

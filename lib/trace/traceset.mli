@@ -6,7 +6,11 @@
     infinite tracesets; this module is the {e explicit} representation
     used by the semantic-transformation checkers on bounded examples.
     The intensional representation (a membership oracle backed by the
-    small-step semantics) lives in [Safeopt_lang.Denote]. *)
+    small-step semantics) lives in [Safeopt_lang.Denote].
+
+    A traceset is a prefix trie: every trace is a root path, so
+    membership walks one path and prefix closure holds by
+    construction. *)
 
 type t
 
@@ -28,6 +32,11 @@ val of_list : Trace.t list -> t
 val to_list : t -> Trace.t list
 (** All traces, shortest first, then lexicographic. *)
 
+val children : Trace.t -> t -> (Action.t * t) list
+(** [children p s]: every action [a] with [p @ [a]] in [s], ascending by
+    {!Action.compare}, paired with the traceset of its continuations
+    [{ t | p @ a :: t in s }].  Empty when [p] is not in [s]. *)
+
 val maximal : t -> Trace.t list
 (** The traces of [t] that are not strict prefixes of another trace of
     [t]. *)
@@ -47,6 +56,8 @@ val map_traces : (Trace.t -> Trace.t) -> t -> t
 
 val iter : (Trace.t -> unit) -> t -> unit
 val fold : (Trace.t -> 'a -> 'a) -> t -> 'a -> 'a
+(** [iter] and [fold] visit traces in {!Trace.compare} order. *)
+
 val pp : t Fmt.t
 
 (** {1 Well-formedness (paper, section 3)} *)

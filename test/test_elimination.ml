@@ -137,6 +137,131 @@ let test_negative () =
     (Elimination.is_elimination none ~original:orig2 ~universe:[ 0; 1 ]
        ~transformed:bad2)
 
+(* --- specification: the exhaustive search -------------------------------- *)
+
+(* The elimination closure as Definition 1 states it, searched the slow
+   way: every trace of [T] that has the query as a subsequence, shortest
+   first; for each, every generalisation that belongs to [T] by
+   enumerating its instances, the concrete trace first; the first of all
+   its embeddings.  [find_witness] must return the same witness and the
+   indexed oracle the same verdict. *)
+module Spec = struct
+  let rec subsets = function
+    | [] -> [ [] ]
+    | x :: rest ->
+        let s = subsets rest in
+        s @ List.map (fun ys -> x :: ys) s
+
+  let belongs_to ts w ~universe =
+    Seq.for_all (fun t -> Traceset.mem t ts) (Wildcard.instances ~universe w)
+
+  let generalisations ~belongs_to t =
+    List.init (List.length t) Fun.id
+    |> List.filter (fun i -> Action.is_read (List.nth t i))
+    |> subsets
+    |> List.map (fun ws ->
+           List.mapi
+             (fun i a ->
+               match a with
+               | Action.Read (l, _) when List.mem i ws -> Wildcard.Wild_read l
+               | _ -> Wildcard.Concrete a)
+             t)
+    |> List.filter belongs_to
+
+  let rec subsequence s t =
+    match (s, t) with
+    | [], _ -> true
+    | _, [] -> false
+    | a :: s', b :: t' -> subsequence (if Action.equal a b then s' else s) t'
+
+  (* [generalisations t]: the candidate's generalisations that belong. *)
+  let witness vol ~generalisations ~candidates transformed =
+    List.filter (subsequence transformed) candidates
+    |> List.find_map (fun t ->
+           generalisations t
+           |> List.find_map (fun wild ->
+                  match Elimination.embeddings vol ~transformed ~wild with
+                  | kept :: _ -> Some { Elimination.wild; kept }
+                  | [] -> None))
+end
+
+let witness_t =
+  Alcotest.testable
+    (Fmt.option Elimination.pp_witness)
+    (Option.equal (fun (a : Elimination.witness) b ->
+         Wildcard.equal a.wild b.wild && a.kept = b.kept))
+
+(* Every query the Lemma-5 reordering search makes while the refinement
+   checker matches one generated thread against its rewrite: the indexed
+   oracle's verdict must be the specification's, and [find_witness] must
+   return the specification's witness. *)
+let agrees_with_spec ((pass : Safeopt_opt.Pass.t), p) =
+  let open Safeopt_lang in
+  let transformed = (pass.Safeopt_opt.Pass.run p).Safeopt_opt.Pass.program in
+  let universe = Denote.joint_universe [ p; transformed ] in
+  let vol = p.Ast.volatile in
+  List.for_all
+    (fun (tid, (torig, ttrans)) ->
+      let ts_trans, _ =
+        Denote.thread_traces ~max_traces:600 ~universe ~max_len:6 ~tid ttrans
+      in
+      let ts_orig, _ =
+        Denote.thread_traces ~max_traces:600 ~universe
+          ~max_len:(7 + Ast.thread_size torig) ~tid torig
+      in
+      let mem = Elimination.memoised_member vol ~original:ts_orig ~universe in
+      let spec = Hashtbl.create 97 in
+      let candidates = Traceset.to_list ts_orig in
+      let gens = Hashtbl.create 97 in
+      let generalisations t =
+        match Hashtbl.find_opt gens t with
+        | Some g -> g
+        | None ->
+            let g =
+              Spec.generalisations t ~belongs_to:(fun w ->
+                  Spec.belongs_to ts_orig w ~universe)
+            in
+            Hashtbl.add gens t g;
+            g
+      in
+      let belongs_to w = Traceset.belongs_to ts_orig w ~universe in
+      let checked t =
+        let expected =
+          match Hashtbl.find_opt spec t with
+          | Some w -> w
+          | None ->
+              let w = Spec.witness vol ~generalisations ~candidates t in
+              Hashtbl.add spec t w;
+              Alcotest.check witness_t "find_witness" w
+                (Elimination.find_witness vol ~belongs_to ~candidates
+                   ~transformed:t);
+              w
+        in
+        let b = mem t in
+        if b <> Option.is_some expected then
+          QCheck2.Test.fail_reportf "oracle says %b on %a" b Trace.pp t;
+        b
+      in
+      List.iter
+        (fun t -> ignore (Reorder.find vol t ~mem:checked))
+        (Traceset.to_list ts_trans);
+      true)
+    (List.mapi (fun tid pair -> (tid, pair))
+       (List.combine p.Ast.threads transformed.Ast.threads)
+    |> List.filter (fun (_, (a, b)) -> not (Safeopt_lang.Ast.equal_thread a b)))
+
+let differential =
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| 0xe11; 5 |])
+    (QCheck2.Test.make ~name:"indexed oracle = specification" ~count:300
+       ~print:(fun ((pass : Safeopt_opt.Pass.t), p) ->
+         Fmt.str "pass: %s@.%s" pass.Safeopt_opt.Pass.name
+           (Safeopt_gen.Generators.print_program p))
+       QCheck2.Gen.(
+         pair (oneofl Safeopt_opt.Pipeline.registry)
+           Safeopt_gen.Generators.program)
+       agrees_with_spec)
+
 let () =
   Alcotest.run "elimination"
     [
@@ -149,4 +274,5 @@ let () =
           Alcotest.test_case "closure membership" `Quick test_is_member;
           Alcotest.test_case "negative cases" `Quick test_negative;
         ] );
+      ("specification", [ differential ]);
     ]

@@ -168,6 +168,36 @@ let test_truncation_is_unknown_not_safe () =
   check_b "unknown verdict" true
     (match Refine.verdict r with Refine.Unknown _ -> true | _ -> false)
 
+(* --- README tail draws ------------------------------------------------- *)
+
+(* Draw [k] is the [k]-th (from 0) program of [Generators.program] and
+   registry pass drawn in turn from [Random.State.make [| 42 |]].  The
+   refine rung took seconds to minutes on draws 1026 (roach-motel, which
+   refine cannot decide) and 3996 (normalise, which it accepts); auto's
+   verdict must stay exhaustive's. *)
+let tail_draw k =
+  let rand = Random.State.make [| 42 |] in
+  let registry = Array.of_list Pipeline.registry in
+  let draw () =
+    let p = QCheck2.Gen.generate1 ~rand Generators.program in
+    (registry.(Random.State.int rand (Array.length registry)), p)
+  in
+  for _ = 1 to k do
+    ignore (draw ())
+  done;
+  draw ()
+
+let test_tail_draw k pass_name () =
+  let (pass : Pass.t), original = tail_draw k in
+  Alcotest.(check string) "pass" pass_name pass.Pass.name;
+  let transformed = (pass.Pass.run original).Pass.program in
+  let auto = Validate.run_validator Validate.Auto ~original ~transformed () in
+  let exh =
+    Validate.run_validator Validate.Exhaustive ~original ~transformed ()
+  in
+  check_b "auto = exhaustive" (Validate.outcome_ok exh)
+    (Validate.outcome_ok auto)
+
 (* --- differential vs the exhaustive oracle ------------------------------ *)
 
 let rand () = Random.State.make [| 0x5afe1; 7 |]
@@ -243,6 +273,10 @@ let () =
             test_atomic_escalates_not_rejects;
           Alcotest.test_case "truncation is Unknown, never Safe" `Quick
             test_truncation_is_unknown_not_safe;
+          Alcotest.test_case "tail draw 1026" `Quick
+            (test_tail_draw 1026 "roach-motel");
+          Alcotest.test_case "tail draw 3996" `Quick
+            (test_tail_draw 3996 "normalise");
         ] );
       ( "differential",
         [
