@@ -443,14 +443,18 @@ let pipeline_spec s =
   | Ok spec -> spec
   | Error e -> failwith e
 
+(* The refine rung never uses the pool, so the pipeline tests pin the
+   exhaustive validator: every validation then runs the explorer on it. *)
+let validator = Safeopt_opt.Validate.Exhaustive
+
 let test_pipeline_parallel () =
   let open Safeopt_opt in
   let spec = pipeline_spec "constprop;copyprop;cse*;dead-moves;dse;normalise" in
   List.iter
     (fun (t : Litmus.t) ->
       let p = Litmus.program t in
-      let seq = Pipeline.run ~validate_each:true spec p in
-      let par = Pipeline.run ~validate_each:true ~pool spec p in
+      let seq = Pipeline.run ~validate_each:true ~validator spec p in
+      let par = Pipeline.run ~validate_each:true ~validator ~pool spec p in
       if not (Ast.equal_program seq.Pipeline.final par.Pipeline.final) then
         Alcotest.failf "%s: parallel pipeline result differs" t.Litmus.name;
       if
@@ -469,8 +473,8 @@ let test_pipeline_reject_parallel () =
       "thread { lock m; r1 := c; c := r1; unlock m; }\n\
        thread { lock m; r2 := c; c := r2; unlock m; }"
   in
-  let seq = Pipeline.run ~validate_each:true spec p in
-  let par = Pipeline.run ~validate_each:true ~pool spec p in
+  let seq = Pipeline.run ~validate_each:true ~validator spec p in
+  let par = Pipeline.run ~validate_each:true ~validator ~pool spec p in
   check_b "sequential run rejects" true (Option.is_some seq.Pipeline.failure);
   check_b "parallel run rejects at the same pass" true
     (Option.map fst seq.Pipeline.failure = Option.map fst par.Pipeline.failure);

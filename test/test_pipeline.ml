@@ -153,13 +153,13 @@ let mutation_target =
         Ast.Print "r1" ];
     ]
 
-let test_mutation_caught () =
+let mutation_caught ?validator () =
   let spec =
     match Pipeline.parse "unsafe-store-release" with
     | Ok s -> s
     | Error e -> Alcotest.fail e
   in
-  let o = Pipeline.run ~validate_each:true spec mutation_target in
+  let o = Pipeline.run ~validate_each:true ?validator spec mutation_target in
   match o.Pipeline.failure with
   | None -> Alcotest.fail "unsound pass not rejected"
   | Some (name, w) ->
@@ -179,6 +179,12 @@ let test_mutation_caught () =
       (* the pipeline rejects the output: the final program is the input *)
       Alcotest.check program_t "output rejected" mutation_target
         o.Pipeline.final
+
+let test_mutation_caught = mutation_caught ~validator:Validate.Exhaustive
+
+(* The default validator climbs the ladder; it must reject the pass too,
+   with the same kind of witness. *)
+let test_mutation_caught_default () = mutation_caught ()
 
 let test_mutation_unvalidated_slips_through () =
   (* without --validate-each the unsound rewrite goes through — the
@@ -214,7 +220,10 @@ let safe_pipelines_validate =
        ~count:300 ~print:print_case
        QCheck2.Gen.(pair spec_gen Generators.program)
        (fun (spec, p) ->
-         let o = Pipeline.run ~validate_each:true spec p in
+         let o =
+           Pipeline.run ~validate_each:true ~validator:Validate.Exhaustive
+             spec p
+         in
          Option.is_none o.Pipeline.failure))
 
 let () =
@@ -244,6 +253,8 @@ let () =
         [
           Alcotest.test_case "unsound pass caught with witness" `Quick
             test_mutation_caught;
+          Alcotest.test_case "caught under the default validator" `Quick
+            test_mutation_caught_default;
           Alcotest.test_case "slips through unvalidated" `Quick
             test_mutation_unvalidated_slips_through;
         ] );
