@@ -10,6 +10,7 @@ open Safeopt_exec
 open Safeopt_lang
 open Safeopt_litmus
 module Clock = Safeopt_obs.Clock
+module Model = Safeopt_model.Memory_model
 
 let vol0 = Location.Volatile.none
 
@@ -374,8 +375,8 @@ let e12 () =
   List.iter
     (fun t ->
       let p = Litmus.program t in
-      let weak = Safeopt_tso.Machine.weak_behaviours p in
-      let _, _, expl = Safeopt_tso.Machine.explained_by_transformations p in
+      let weak = Model.weak_behaviours Model.Tso p in
+      let expl = Portability.explained_by_transformations ~weak Model.Tso p in
       Fmt.pr "  %-18s %-24s %-10b %b@." t.Litmus.name
         (Fmt.str "%a" Behaviour.Set.pp weak)
         expl (Interp.is_drf p))
@@ -391,7 +392,7 @@ let e12 () =
     ];
   claim "SB exhibits exactly the 0,0 weakness" true
     (Behaviour.Set.equal
-       (Safeopt_tso.Machine.weak_behaviours (Litmus.program Corpus.sb))
+       (Model.weak_behaviours Model.Tso (Litmus.program Corpus.sb))
        (Behaviour.Set.singleton [ 0; 0 ]))
 
 (* ------------------------------------------------------------------ *)
@@ -404,9 +405,9 @@ let e13 () =
   List.iter
     (fun t ->
       let p = Litmus.program t in
-      let weak = Safeopt_tso.Pso.weak_behaviours p in
-      let beyond = Safeopt_tso.Pso.weak_beyond_tso p in
-      let _, _, expl = Safeopt_tso.Pso.explained_by_transformations p in
+      let weak = Model.weak_behaviours Model.Pso p in
+      let beyond = Model.weak_behaviours ~than:Model.Tso Model.Pso p in
+      let expl = Portability.explained_by_transformations ~weak Model.Pso p in
       Fmt.pr "  %-14s %-16s %-18s %b@." t.Litmus.name
         (Fmt.str "%a" Behaviour.Set.pp weak)
         (Fmt.str "%a" Behaviour.Set.pp beyond)
@@ -414,12 +415,11 @@ let e13 () =
     [ Corpus.sb; Corpus.mp; Corpus.lb; Corpus.corr; Corpus.mp_volatile ];
   claim "PSO weakens MP (write-write reordering), beyond TSO" true
     (Behaviour.Set.mem [ 0 ]
-       (Safeopt_tso.Pso.weak_beyond_tso (Litmus.program Corpus.mp)));
+       (Model.weak_behaviours ~than:Model.Tso Model.Pso
+          (Litmus.program Corpus.mp)));
   claim "MP's PSO weakness is explained by R-WW (+R-WR, E-RAW)" true
-    (let _, _, e =
-       Safeopt_tso.Pso.explained_by_transformations (Litmus.program Corpus.mp)
-     in
-     e)
+    (Portability.explained_by_transformations Model.Pso
+       (Litmus.program Corpus.mp))
 
 (* ------------------------------------------------------------------ *)
 (* E14: robustness enforcement                                         *)
@@ -431,17 +431,17 @@ let e14 () =
   List.iter
     (fun t ->
       let p = Litmus.program t in
-      let p', promoted = Safeopt_tso.Robustness.enforce p in
+      let p', promoted = Safeopt_model.Robustness.enforce p in
       Fmt.pr "  %-14s %-20s %b@." t.Litmus.name
         (if promoted = [] then "(already DRF)"
          else String.concat ", " promoted)
-        (Safeopt_tso.Robustness.is_robust p'))
+        (Safeopt_model.Robustness.is_robust p'))
     [ Corpus.sb; Corpus.mp; Corpus.lb; Corpus.mp_locked ];
   claim "every enforced corpus program is TSO-robust" true
     (List.for_all
        (fun t ->
-         let p', _ = Safeopt_tso.Robustness.enforce (Litmus.program t) in
-         Safeopt_tso.Robustness.is_robust p')
+         let p', _ = Safeopt_model.Robustness.enforce (Litmus.program t) in
+         Safeopt_model.Robustness.is_robust p')
        Corpus.all)
 
 (* ------------------------------------------------------------------ *)
@@ -1088,11 +1088,7 @@ let refine_bench ?(quick = false) () =
     List.map
       (fun n ->
         let p = redundant_read_program n in
-        let p' =
-          match Passes.run_pipeline [ "redundancy" ] p with
-          | Ok p' -> p'
-          | Error e -> failwith e
-        in
+        let p' = fst (Passes.eliminate_redundancy p) in
         let r, rwall =
           time (fun () -> Safeopt_analysis.Refine.check ~original:p
                             ~transformed:p' ())
@@ -1222,10 +1218,10 @@ let rmw_bench () =
     (List.for_all (fun (_, ok, _) -> ok) walls);
   let sb_x = Litmus.program Corpus.atomic_sb_xchg in
   let tso_flush =
-    Behaviour.Set.is_empty (Safeopt_tso.Machine.weak_behaviours sb_x)
+    Behaviour.Set.is_empty (Model.weak_behaviours Model.Tso sb_x)
   in
   let pso_flush =
-    Behaviour.Set.is_empty (Safeopt_tso.Pso.weak_behaviours sb_x)
+    Behaviour.Set.is_empty (Model.weak_behaviours Model.Pso sb_x)
   in
   claim "SB-with-xchg has no relaxed TSO outcome (buffer flushed)" true
     tso_flush;
@@ -1516,6 +1512,11 @@ let bechamel_tests () =
   let fig1_tso = Denote.traceset ~universe:fig1_uni ~max_len:10 fig1_o in
   let fig1_tst = Denote.traceset ~universe:fig1_uni ~max_len:10 fig1_t in
   let fig3a = Litmus.program Corpus.fig3_a in
+  let optimise_spec =
+    Result.get_ok
+      (Safeopt_opt.Pipeline.parse
+         "constprop;copyprop;redundancy;dead-moves;normalise")
+  in
   let oota = Litmus.program Corpus.oota in
   let oota_ts = Denote.traceset ~universe:[ 0; 42 ] ~max_len:8 oota in
   [
@@ -1547,10 +1548,10 @@ let bechamel_tests () =
         t "e8_oota_origins" (fun () ->
             Safeopt_core.Origin.traceset_has_origin 42 oota_ts);
         t "e9_sec4_elimination" (fun () -> e9_check ());
-        t "e12_tso_sb" (fun () -> Safeopt_tso.Machine.weak_behaviours sb);
+        t "e12_tso_sb" (fun () -> Model.weak_behaviours Model.Tso sb);
         t "e13_pso_mp" (fun () ->
-            Safeopt_tso.Pso.weak_behaviours (Litmus.program Corpus.mp));
-        t "e14_robust_sb" (fun () -> Safeopt_tso.Robustness.enforce sb);
+            Model.weak_behaviours Model.Pso (Litmus.program Corpus.mp));
+        t "e14_robust_sb" (fun () -> Safeopt_model.Robustness.enforce sb);
       ];
     Test.make_grouped ~name:"scaling"
       (List.concat_map
@@ -1578,7 +1579,9 @@ let bechamel_tests () =
         t "parse_corpus" (fun () -> List.map Litmus.program Corpus.all);
         t "litmus_sb_check" (fun () -> Litmus.check Corpus.sb);
         t "optimise_pipeline" (fun () ->
-            Safeopt_opt.Passes.optimise (Litmus.program Corpus.mp_locked));
+            (Safeopt_opt.Pipeline.run optimise_spec
+               (Litmus.program Corpus.mp_locked))
+              .Safeopt_opt.Pipeline.final);
       ];
   ]
 

@@ -1,12 +1,18 @@
 (* drfopt — the command-line face of the safeopt library.
 
    Subcommands:
-     run         interpret a program: behaviours + DRF verdict
-     analyze     static lockset analysis: DRF certificate or race report
+     run         interpret a program: behaviours + DRF verdict; under
+                 --model tso|pso also the section-8 weak-behaviour report
      drf         data-race check with a witness execution
+     analyze     static lockset analysis: DRF certificate or race report
      transform   apply a named Fig. 10/11 rule
-     opt         run the optimisation pipeline and validate it
+     optimize    run a pass pipeline, validating each pass on request
      validate    compare two programs under the DRF guarantee
+     deadlock    search for a reachable deadlock
+     denote      print the bounded traceset denotation
+     eliminable  classify each index of a trace per Definition 1
+     chain       validate a chain of transformations
+     robust      infer the volatile annotations that restore DRF
      litmus      run the built-in corpus
      matrix      print the section-4 reorderability matrix
      portability the pass x memory-model portability matrix
@@ -14,7 +20,6 @@
                  (--profile hot spans, --flamegraph collapsed stacks)
      bench       benchmark utilities: `bench diff` compares BENCH_*.json
                  files with noise-aware thresholds (the CI perf gate)
-     tso         TSO behaviours and the section-8 explanation check
 
    The analysis subcommands share the telemetry flags --trace-out FILE,
    --trace-format jsonl|chrome, --metrics and the live-telemetry trio
@@ -250,6 +255,25 @@ let obs_term =
 
 (* --- run --- *)
 
+(* The section-8 report from the model's behaviour set [bs]: its weak
+   behaviours against SC (and against TSO under PSO), and whether SC
+   rewrites through the model's explaining rules reproduce them. *)
+let print_weak ~fuel ?stats ~jobs model p bs =
+  let weak_against than =
+    Behaviour.Set.diff bs (Model.behaviours ~fuel ?stats ~jobs than p)
+  in
+  let weak = weak_against Model.Sc in
+  Fmt.pr "weak (%s minus SC): %a@."
+    (String.uppercase_ascii (Model.name model))
+    Behaviour.Set.pp weak;
+  if Model.equal model Model.Pso then
+    Fmt.pr "weak (PSO minus TSO): %a@." Behaviour.Set.pp
+      (weak_against Model.Tso);
+  Fmt.pr "explained by %s transformations: %b@."
+    (String.concat " + " (Safeopt_litmus.Portability.explaining_rules model))
+    (Safeopt_litmus.Portability.explained_by_transformations ~fuel ~weak model
+       p)
+
 let run_cmd =
   let run () file fuel stats jobs model =
     let jobs = check_jobs jobs in
@@ -258,14 +282,20 @@ let run_cmd =
     with_stats stats (fun stats ->
         if not (Model.equal model Model.Sc) then
           Fmt.pr "memory model: %s@." (Model.name model);
-        print_behaviours (Model.behaviours ~fuel ?stats ~jobs model p);
+        let bs = Model.behaviours ~fuel ?stats ~jobs model p in
+        print_behaviours bs;
         Fmt.pr "data race free: %b@." (Interp.is_drf ~fuel ?stats ~jobs p);
+        if not (Model.equal model Model.Sc) then
+          print_weak ~fuel ?stats ~jobs model p bs;
         0)
   in
   Cmd.v
     (Cmd.info "run"
        ~doc:"Enumerate behaviours under $(b,--model) (default SC) and check \
-             race freedom")
+             race freedom.  Under $(b,tso) or $(b,pso), also print the \
+             weak behaviours (those SC lacks, and under $(b,pso) those TSO \
+             lacks) and whether the section-8 transformations explain \
+             them: R-WR and E-RAW for TSO, plus R-WW for PSO")
     Term.(
       const run $ obs_term $ file_arg $ fuel_arg $ stats_arg $ jobs_arg
       $ model_arg)
@@ -370,40 +400,6 @@ let transform_cmd =
   Cmd.v
     (Cmd.info "transform" ~doc:"Apply a Fig. 10/11 rule")
     Term.(const run $ file_arg $ rule_arg $ all_arg)
-
-(* --- opt --- *)
-
-let opt_cmd =
-  let passes_arg =
-    Arg.(
-      value
-      & opt (some (list string)) None
-      & info [ "passes" ] ~docv:"P1,P2,..."
-          ~doc:"Comma-separated pass names (constprop, copyprop, \
-                redundancy, dead-moves, dead-loads, fold-branches, \
-                normalise, unroll1, unroll2, read-intro, \
-                cross-acquire-elim, roach-motel); default pipeline if \
-                omitted.")
-  in
-  let run () file fuel passes =
-    let p = or_die (load file) in
-    let p' =
-      match passes with
-      | None -> Safeopt_opt.Passes.optimise p
-      | Some names -> or_die (Safeopt_opt.Passes.run_pipeline names p)
-    in
-    Fmt.pr "--- optimised ---@.%a@.@." Pp.program p';
-    let report =
-      Safeopt_opt.Validate.validate ~fuel ~original:p ~transformed:p' ()
-    in
-    Fmt.pr "%a@." Safeopt_opt.Validate.pp_report report;
-    if not (Safeopt_opt.Validate.ok report) then exit 1
-  in
-  Cmd.v
-    (Cmd.info "opt"
-       ~doc:"Run an optimisation pipeline and validate it against the DRF \
-             guarantee")
-    Term.(const run $ obs_term $ file_arg $ fuel_arg $ passes_arg)
 
 (* --- the validator ladder flag (optimize + validate) --- *)
 
@@ -860,7 +856,7 @@ let chain_cmd =
 let robust_cmd =
   let run () file fuel =
     let p = or_die (load file) in
-    let p', promoted = Safeopt_tso.Robustness.enforce ~fuel p in
+    let p', promoted = Safeopt_model.Robustness.enforce ~fuel p in
     (match promoted with
     | [] -> Fmt.pr "already data race free; no fences needed@."
     | ls ->
@@ -868,51 +864,12 @@ let robust_cmd =
           Fmt.(list ~sep:(any ", ") string)
           ls;
         Fmt.pr "--- robust program ---@.%a@." Pp.program p');
-    Fmt.pr "TSO-robust: %b@." (Safeopt_tso.Robustness.is_robust ~fuel p')
+    Fmt.pr "TSO-robust: %b@." (Safeopt_model.Robustness.is_robust ~fuel p')
   in
   Cmd.v
     (Cmd.info "robust"
        ~doc:"Infer the volatile annotations (fences) that make the program \
              data race free, hence SC on TSO")
-    Term.(const run $ obs_term $ file_arg $ fuel_arg)
-
-(* --- tso --- *)
-
-let tso_cmd =
-  let run () file fuel =
-    let p = or_die (load file) in
-    let tso = Safeopt_tso.Machine.program_behaviours ~fuel p in
-    let weak = Safeopt_tso.Machine.weak_behaviours ~fuel p in
-    Fmt.pr "TSO behaviours:@.";
-    print_behaviours tso;
-    Fmt.pr "weak (TSO minus SC): %a@." Behaviour.Set.pp weak;
-    let _, _, explained = Safeopt_tso.Machine.explained_by_transformations ~fuel p in
-    Fmt.pr "explained by R-WR + E-RAW transformations: %b@." explained
-  in
-  Cmd.v
-    (Cmd.info "tso"
-       ~doc:"Enumerate store-buffer (TSO) behaviours and check the \
-             section-8 explanation")
-    Term.(const run $ obs_term $ file_arg $ fuel_arg)
-
-let pso_cmd =
-  let run () file fuel =
-    let p = or_die (load file) in
-    Fmt.pr "PSO behaviours:@.";
-    print_behaviours (Safeopt_tso.Pso.program_behaviours ~fuel p);
-    Fmt.pr "weak (PSO minus SC):  %a@." Behaviour.Set.pp
-      (Safeopt_tso.Pso.weak_behaviours ~fuel p);
-    Fmt.pr "weak (PSO minus TSO): %a@." Behaviour.Set.pp
-      (Safeopt_tso.Pso.weak_beyond_tso ~fuel p);
-    let _, _, explained =
-      Safeopt_tso.Pso.explained_by_transformations ~fuel p
-    in
-    Fmt.pr "explained by R-WW + R-WR + E-RAW transformations: %b@." explained
-  in
-  Cmd.v
-    (Cmd.info "pso"
-       ~doc:"Enumerate partial-store-order behaviours (per-location store \
-             buffers)")
     Term.(const run $ obs_term $ file_arg $ fuel_arg)
 
 (* --- report --- *)
@@ -1039,7 +996,6 @@ let main =
       drf_cmd;
       analyze_cmd;
       transform_cmd;
-      opt_cmd;
       optimize_cmd;
       validate_cmd;
       deadlock_cmd;
@@ -1052,8 +1008,6 @@ let main =
       portability_cmd;
       report_cmd;
       bench_cmd;
-      tso_cmd;
-      pso_cmd;
     ]
 
 let () = exit (Cmd.eval main)

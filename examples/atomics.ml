@@ -57,7 +57,7 @@ let () =
   (* Under TSO/PSO the RMWs flush the store buffers (x86 LOCK prefix),
      so the lock works unfenced on relaxed hardware too. *)
   Fmt.pr "TSO-weak behaviours: %s@."
-    (let w = Tso.weak_behaviours p in
+    (let w = Memory_model.(weak_behaviours Tso p) in
      if Behaviour.Set.is_empty w then "none"
      else Fmt.str "%a" Behaviour.Set.pp w);
 

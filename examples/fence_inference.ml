@@ -8,13 +8,13 @@
 open Safeopt_exec
 open Safeopt_lang
 open Safeopt_litmus
-open Safeopt_tso
+open Safeopt_model
 
 let tour t =
   let p = Litmus.program t in
   let sc = Interp.behaviours p in
-  let tso = Machine.program_behaviours p in
-  let pso = Pso.program_behaviours p in
+  let tso = Memory_model.(behaviours Tso p) in
+  let pso = Memory_model.(behaviours Pso p) in
   Fmt.pr "  %-14s SC=%-3d TSO=+%-3d PSO=+%-3d   tso-weak=%-10s pso-weak=%s@."
     t.Litmus.name
     (Behaviour.Set.cardinal sc)
@@ -45,7 +45,7 @@ let () =
         t.Litmus.name
         (String.concat ", " promoted)
         (Robustness.is_robust p')
-        Behaviour.Set.pp (Pso.weak_behaviours p'))
+        Behaviour.Set.pp Memory_model.(weak_behaviours Pso p'))
     [ Corpus.sb; Corpus.mp; Corpus.lb ];
 
   Fmt.pr "@.== why it works: DRF transports SC to hardware ==@.";

@@ -26,8 +26,8 @@ let () =
         (String.concat " " (Interp.behaviour_strings o.Litmus.behaviours)
         |> fun s ->
          if String.length s > 26 then String.sub s 0 23 ^ "..." else s)
-        (show_weak (Tso.weak_behaviours p))
-        (show_weak (Pso.weak_behaviours p))
+        (show_weak Memory_model.(weak_behaviours Tso p))
+        (show_weak Memory_model.(weak_behaviours Pso p))
         (if promoted = [] then "-" else String.concat "," promoted))
     Corpus.all;
   Fmt.pr "@.%d tests, all expectations hold.@." (List.length Corpus.all)

@@ -9,16 +9,15 @@
 open Safeopt_exec
 open Safeopt_lang
 open Safeopt_litmus
+module Model = Safeopt_model.Memory_model
 
 let check name p =
-  let tso, sc_union, explained =
-    Safeopt_tso.Machine.explained_by_transformations p
+  let weak = Model.weak_behaviours Model.Tso p in
+  let explained =
+    Portability.explained_by_transformations ~weak Model.Tso p
   in
-  let weak = Safeopt_tso.Machine.weak_behaviours p in
-  Fmt.pr "  %-16s weak=%a explained-by-transformations=%b (tso %d, union %d)@."
-    name Behaviour.Set.pp weak explained
-    (Behaviour.Set.cardinal tso)
-    (Behaviour.Set.cardinal sc_union)
+  Fmt.pr "  %-16s weak=%a explained-by-transformations=%b@." name
+    Behaviour.Set.pp weak explained
 
 let () =
   Fmt.pr "== TSO weak behaviours and their transformation explanations ==@.";
@@ -38,7 +37,7 @@ let () =
   List.iter
     (fun t ->
       let p = Litmus.program t in
-      let weak = Safeopt_tso.Machine.weak_behaviours p in
+      let weak = Model.weak_behaviours Model.Tso p in
       Fmt.pr "  %-16s drf=%b weak=%a@." t.Litmus.name (Interp.is_drf p)
         Behaviour.Set.pp weak)
     [ Corpus.fig3_a; Corpus.mp_volatile; Corpus.mp_locked; Corpus.intro_volatile ]

@@ -213,3 +213,44 @@ let pp_witnesses ppf m =
       | None -> ());
       Fmt.pf ppf "  @[<v>%a@]@." (Witness.pp Pp.program) u.u_witness)
     (unsafe_cells m)
+
+(* --- Section 8: weak behaviours explained by SC rewrites -------------- *)
+
+let explaining_rules = function
+  | Model.Sc -> []
+  | Model.Tso -> [ "R-WR"; "E-RAW" ]
+  | Model.Pso -> [ "R-WW"; "R-WR"; "E-RAW" ]
+
+(* The claim is [model(p) ⊆ ⋃ SC(q)] over the programs [q] reachable
+   from [p] through the rules.  Reachability lists [p] first, and
+   [model(p) \ weak ⊆ SC(p)], so the inclusion holds exactly when every
+   weak behaviour is an SC behaviour of some rewrite.  Hence an empty
+   weak set needs no rewrite, [p] itself covers none of the weak set
+   (its SC behaviours are what [weak] removed), and the fold stops as
+   soon as the weak set is covered. *)
+let explained_by_transformations ?fuel ?max_states ?(max_programs = 2_000)
+    ?weak m p =
+  let weak =
+    match weak with
+    | Some w -> w
+    | None -> Model.weak_behaviours ?fuel ?max_states m p
+  in
+  let rec cover weak = function
+    | [] -> false
+    | q :: qs ->
+        let weak =
+          Behaviour.Set.diff weak (Interp.behaviours ?fuel ?max_states q)
+        in
+        Behaviour.Set.is_empty weak || cover weak qs
+  in
+  if Behaviour.Set.is_empty weak then true
+  else
+    (* the silent move-commutation rules only make desugared stores
+       adjacent; they are identity transformations on tracesets *)
+    let rules =
+      Safeopt_opt.Rule.moves
+      @ List.filter_map Safeopt_opt.Rule.by_name (explaining_rules m)
+    in
+    match Safeopt_opt.Transform.reachable ~max_programs rules p with
+    | _p :: rewrites -> cover weak rewrites
+    | [] -> false

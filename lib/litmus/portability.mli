@@ -80,3 +80,28 @@ val pp : matrix Fmt.t
 
 val pp_witnesses : matrix Fmt.t
 (** Every unsafe cell's counterexample, with its replay status. *)
+
+(** {1 Section 8: weak behaviours explained by transformations} *)
+
+val explaining_rules : Model.t -> string list
+(** The rules whose SC rewrites should reproduce the model's weak
+    behaviours (paper, section 8): none for [Sc]; R-WR (write-read
+    reordering) and E-RAW (store-to-load forwarding) for [Tso]; R-WW
+    as well for [Pso], whose per-location buffers also reorder
+    writes. *)
+
+val explained_by_transformations :
+  ?fuel:int ->
+  ?max_states:int ->
+  ?max_programs:int ->
+  ?weak:Behaviour.Set.t ->
+  Model.t ->
+  Ast.program ->
+  bool
+(** The section-8 claim, checked per program: every behaviour of the
+    program under the model is an SC behaviour of some program
+    reachable from it through {!explaining_rules} (at most
+    [max_programs], default 2000).  Decided as "every weak behaviour is
+    an SC behaviour of some rewrite", which is the same inclusion.
+    [weak], when given, must be {!Model.weak_behaviours} of the program
+    at the same fuel; passing it saves enumerating the model again. *)

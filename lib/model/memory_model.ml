@@ -41,5 +41,10 @@ let system_behaviours ?max_states ?stats ?jobs ?pool m vol sys =
   | Tso -> Store_buffer.Tso.behaviours ?max_states ?stats ?jobs ?pool vol sys
   | Pso -> Store_buffer.Pso.behaviours ?max_states ?stats ?jobs ?pool vol sys
 
+let weak_behaviours ?fuel ?max_states ?stats ?jobs ?pool ?(than = Sc) m p =
+  Behaviour.Set.diff
+    (behaviours ?fuel ?max_states ?stats ?jobs ?pool m p)
+    (behaviours ?fuel ?max_states ?stats ?jobs ?pool than p)
+
 let replays ?fuel ?max_states ?jobs ?pool m p b =
   Behaviour.Set.mem b (behaviours ?fuel ?max_states ?jobs ?pool m p)

@@ -62,6 +62,21 @@ val behaviours :
     machine for {!Tso}/{!Pso}.  [jobs]/[pool] parallelise the
     exploration; the set is identical. *)
 
+val weak_behaviours :
+  ?fuel:int ->
+  ?max_states:int ->
+  ?stats:Explorer.stats ->
+  ?jobs:int ->
+  ?pool:Par.Pool.t ->
+  ?than:t ->
+  t ->
+  Ast.program ->
+  Behaviour.Set.t
+(** The behaviours of the program under [m] that [than] (default
+    {!Sc}) does not have: the observable store-buffering weakness
+    under {!Tso} (empty for DRF programs; Theorem 2 + section 8), the
+    write-write reordering alone for [~than:Tso Pso]. *)
+
 val system_behaviours :
   ?max_states:int ->
   ?stats:Explorer.stats ->

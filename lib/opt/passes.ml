@@ -532,40 +532,3 @@ let rec unroll_stmt depth = function
 
 let unroll_loops ~depth (p : Ast.program) =
   { p with Ast.threads = List.map (List.map (unroll_stmt depth)) p.Ast.threads }
-
-(* --- The pipeline -------------------------------------------------------- *)
-
-let optimise p =
-  let p = constant_propagation p in
-  let p = copy_propagation p in
-  let p = fst (eliminate_redundancy p) in
-  let p = dead_moves p in
-  normalise p
-
-let named_passes =
-  [
-    ("constprop", constant_propagation);
-    ("copyprop", copy_propagation);
-    ("redundancy", fun p -> fst (eliminate_redundancy p));
-    ("dead-moves", dead_moves);
-    ("dead-loads", dead_loads);
-    ("fold-branches", fold_branches);
-    ("normalise", normalise);
-    ("unroll1", unroll_loops ~depth:1);
-    ("unroll2", unroll_loops ~depth:2);
-    ("read-intro", introduce_irrelevant_reads);
-    ("cross-acquire-elim", eliminate_reads_across_acquires);
-    ("roach-motel", fun p ->
-      fst (reorder_fixpoint ~prefer:[ "R-WL"; "R-RL"; "R-UW"; "R-UR" ] p));
-    ("store-load-reorder", reorder_load_store);
-  ]
-
-let run_pipeline names p =
-  let rec go p = function
-    | [] -> Ok p
-    | n :: rest -> (
-        match List.assoc_opt n named_passes with
-        | Some f -> go (f p) rest
-        | None -> Error (Printf.sprintf "unknown pass %S" n))
-  in
-  go p names

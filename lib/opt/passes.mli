@@ -15,7 +15,10 @@
     reproduce the paper's Fig. 3 pipeline: each step is individually
     defensible (the first preserves SC behaviour, the second is a
     legitimate Definition-1 elimination) but their composition breaks
-    the DRF guarantee — the paper's "surprising limitation". *)
+    the DRF guarantee — the paper's "surprising limitation".
+
+    {!Pipeline} drives the passes: its registry wraps each one with
+    provenance, and its spec strings name them. *)
 
 open Safeopt_lang
 
@@ -100,15 +103,3 @@ val unroll_loops : depth:int -> Ast.program -> Ast.program
     [if (T) { S; ... }] nests).  Trace-preserving — the paper's
     section-2.1 observation that loop unrolling is an identity in the
     trace semantics. *)
-
-val optimise : Ast.program -> Ast.program
-(** The pipeline a small compiler would run: constant propagation,
-    copy propagation, rule-driven redundancy elimination, dead-move
-    removal, normalisation. *)
-
-val named_passes : (string * (Ast.program -> Ast.program)) list
-(** The pass registry used by [drfopt opt --passes]. *)
-
-val run_pipeline :
-  string list -> Ast.program -> (Ast.program, string) Result.t
-(** Apply the named passes left to right. *)

@@ -21,11 +21,12 @@
       {!Pipeline}, {!Liveness}, {!Validate};
     - static analysis: {!Cfg}, {!Dataflow}, {!Lockset}, {!Static_race};
     - memory models: {!Memory_model} (the first-class model interface:
-      SC, TSO, PSO behind one [behaviours]/[replays] face),
-      {!Store_buffer} (the shared buffered-machine functor);
-    - hardware models: {!Tso}, {!Pso}, {!Robustness};
+      SC, TSO, PSO behind one [behaviours]/[weak_behaviours]/[replays]
+      face), {!Store_buffer} (the shared buffered-machine functor),
+      {!Robustness} (fence inference by DRF restoration);
     - corpus and generators: {!Litmus}, {!Corpus}, {!Generators},
-      {!Portability} (the pass × model portability matrix);
+      {!Portability} (the pass × model portability matrix and the
+      section-8 explanation check);
     - telemetry: {!Metrics}, {!Tracer}, {!Trace_event}, {!Trace_report}. *)
 
 (* trace *)
@@ -87,11 +88,7 @@ module Static_race = Safeopt_analysis.Static_race
 (* memory models *)
 module Memory_model = Safeopt_model.Memory_model
 module Store_buffer = Safeopt_model.Store_buffer
-
-(* hardware models *)
-module Tso = Safeopt_tso.Machine
-module Pso = Safeopt_tso.Pso
-module Robustness = Safeopt_tso.Robustness
+module Robustness = Safeopt_model.Robustness
 
 (* corpus and generators *)
 module Litmus = Safeopt_litmus.Litmus

@@ -260,7 +260,9 @@ let test_streaming_early_exit () =
 let test_graph_stats () =
   let p = Litmus.program Corpus.sb in
   let s = Explorer.create_stats () in
-  let (_ : Behaviour.Set.t) = Safeopt_tso.Machine.program_behaviours ~stats:s p in
+  let (_ : Behaviour.Set.t) =
+    Safeopt_model.Memory_model.(behaviours ~stats:s Tso p)
+  in
   check "TSO explored states" true (s.Explorer.states > 0);
   check "TSO edges" true (s.Explorer.edges >= s.Explorer.states - 1)
 

@@ -7,6 +7,7 @@ open Safeopt_lang
 open Safeopt_litmus
 open Safeopt_gen
 open Helpers
+module Model = Safeopt_model.Memory_model
 
 let check_b = Alcotest.(check bool)
 let check_i = Alcotest.(check int)
@@ -250,14 +251,14 @@ let test_graph_parallel () =
       if
         not
           (Behaviour.Set.equal
-             (Safeopt_tso.Machine.program_behaviours p)
-             (Safeopt_tso.Machine.program_behaviours ~pool p))
+             (Model.behaviours Model.Tso p)
+             (Model.behaviours ~pool Model.Tso p))
       then Alcotest.failf "%s: parallel TSO behaviours differ" t.Litmus.name)
     (List.filteri (fun i _ -> i < 8) Corpus.all);
   let sb = Litmus.program Corpus.sb in
   Alcotest.check behaviour_set "parallel PSO behaviours equal sequential"
-    (Safeopt_tso.Pso.program_behaviours sb)
-    (Safeopt_tso.Pso.program_behaviours ~pool sb)
+    (Model.behaviours Model.Pso sb)
+    (Model.behaviours ~pool Model.Pso sb)
 
 (* --- witnesses ----------------------------------------------------------- *)
 
@@ -363,8 +364,8 @@ let deadlock_witness_ok p =
 let verdict_parity p =
   let verdicts pool =
     ( Option.is_some (Interp.find_race ?pool p),
-      Behaviour.Set.elements (Safeopt_tso.Machine.program_behaviours ?pool p),
-      Behaviour.Set.elements (Safeopt_tso.Pso.program_behaviours ?pool p) )
+      Behaviour.Set.elements (Model.behaviours ?pool Model.Tso p),
+      Behaviour.Set.elements (Model.behaviours ?pool Model.Pso p) )
   in
   let one = verdicts None in
   List.for_all (fun pl -> verdicts (Some pl) = one) [ pool2; pool ]
@@ -421,11 +422,15 @@ let qcheck_witnesses =
 
 let test_validate_batch () =
   let open Safeopt_opt in
+  let spec =
+    Result.get_ok
+      (Pipeline.parse "constprop;copyprop;redundancy;dead-moves;normalise")
+  in
   let pairs =
     List.filter_map
       (fun t ->
         let p = Litmus.program t in
-        let q = Passes.optimise p in
+        let q = (Pipeline.run spec p).Pipeline.final in
         if Ast.equal_program p q then None else Some (p, q))
       Corpus.all
   in

@@ -180,22 +180,28 @@ let test_unroll () =
 
 let test_pipeline () =
   let p = parse "thread { r1 := 5; r2 := r1; x := r2; r3 := x; }" in
-  (match Passes.run_pipeline [ "constprop"; "copyprop"; "dead-loads"; "dead-moves"; "normalise" ] p with
-  | Ok p' ->
+  let spec = "constprop;copyprop;dead-loads;dead-moves;normalise" in
+  (match Pipeline.parse spec with
+  | Ok spec ->
+      let p' = (Pipeline.run spec p).Pipeline.final in
       check_b "pipeline shrinks" true
         (Ast.program_size p' < Ast.program_size p);
       let r = Validate.validate ~original:p ~transformed:p' () in
       check_b "validated" true (Validate.ok r)
   | Error e -> Alcotest.fail e);
-  check_b "unknown pass rejected" true
-    (Result.is_error (Passes.run_pipeline [ "nope" ] p));
-  Alcotest.(check int) "registry size" 13 (List.length Passes.named_passes)
+  check_b "unknown pass rejected" true (Result.is_error (Pipeline.parse "nope"))
+
+(* The cleanup-and-redundancy pipeline a small compiler would run. *)
+let optimise p =
+  match Pipeline.parse "constprop;copyprop;redundancy;dead-moves;normalise" with
+  | Ok spec -> (Pipeline.run spec p).Pipeline.final
+  | Error e -> Alcotest.fail e
 
 let test_optimise_safe_on_corpus () =
   List.iter
     (fun t ->
       let p = Safeopt_litmus.Litmus.program t in
-      let p' = Passes.optimise p in
+      let p' = optimise p in
       let report = Validate.validate ~original:p ~transformed:p' () in
       if not (Validate.behaviours_ok report) then
         Alcotest.failf "%s: optimise broke the DRF guarantee"

@@ -25,16 +25,6 @@ let is_infix ~affix s =
 
 (* --- registry and spec parsing ---------------------------------------- *)
 
-let test_registry_covers_passes () =
-  (* every pass of the legacy [Passes.named_passes] registry is
-     registered through the pass manager *)
-  List.iter
-    (fun (name, _) ->
-      Alcotest.(check bool)
-        (name ^ " registered") true
-        (Option.is_some (Pipeline.find name)))
-    Passes.named_passes
-
 let test_registry_names_unique () =
   let names = List.map (fun (p : Pass.t) -> p.Pass.name) Pipeline.registry in
   Alcotest.(check int)
@@ -231,8 +221,6 @@ let () =
     [
       ( "registry",
         [
-          Alcotest.test_case "covers named_passes" `Quick
-            test_registry_covers_passes;
           Alcotest.test_case "unique names" `Quick test_registry_names_unique;
           Alcotest.test_case "aliases" `Quick test_aliases;
         ] );

@@ -5,6 +5,7 @@ open Safeopt_trace
 open Safeopt_exec
 open Safeopt_lang
 open Safeopt_gen
+module Model = Safeopt_model.Memory_model
 
 let rand () = Random.State.make [| 0x5afe0; 42 |]
 
@@ -190,7 +191,7 @@ let tso_includes_sc =
   test ~count:30 "SC behaviours are TSO behaviours" Generators.program
     ~print:print_program (fun p ->
       Behaviour.Set.subset (Interp.behaviours p)
-        (Safeopt_tso.Machine.program_behaviours p))
+        (Model.behaviours Model.Tso p))
 
 let por_equivalence =
   test ~count:100 "POR preserves behaviours" Generators.program
@@ -203,19 +204,19 @@ let tso_includes_in_pso =
   test ~count:25 "TSO behaviours are PSO behaviours" Generators.program
     ~print:print_program (fun p ->
       Behaviour.Set.subset
-        (Safeopt_tso.Machine.program_behaviours p)
-        (Safeopt_tso.Pso.program_behaviours p))
+        (Model.behaviours Model.Tso p)
+        (Model.behaviours Model.Pso p))
 
 let robustness_enforce =
   test ~count:20 "enforce yields a DRF, TSO-robust program"
     Generators.program ~print:print_program (fun p ->
-      let p', _ = Safeopt_tso.Robustness.enforce p in
-      Interp.is_drf p' && Safeopt_tso.Robustness.is_robust p')
+      let p', _ = Safeopt_model.Robustness.enforce p in
+      Interp.is_drf p' && Safeopt_model.Robustness.is_robust p')
 
 let drf_no_tso_weakness =
   test ~count:20 "DRF programs have no TSO-weak behaviours"
     Generators.drf_program ~print:print_program (fun p ->
-      Behaviour.Set.is_empty (Safeopt_tso.Machine.weak_behaviours p))
+      Behaviour.Set.is_empty (Model.weak_behaviours Model.Tso p))
 
 let () =
   Alcotest.run "properties"

@@ -1,6 +1,6 @@
 open Safeopt_lang
 open Safeopt_litmus
-open Safeopt_tso
+open Safeopt_model
 
 let check_b = Alcotest.(check bool)
 
@@ -36,7 +36,8 @@ let test_mp () =
   check_b "flag (at least) promoted" true (promoted <> []);
   check_b "mp robust afterwards" true (Robustness.is_robust mp');
   check_b "PSO-robust too (DRF covers PSO as well)" true
-    (Safeopt_exec.Behaviour.Set.is_empty (Pso.weak_behaviours mp'))
+    (Safeopt_exec.Behaviour.Set.is_empty
+       Memory_model.(weak_behaviours Pso mp'))
 
 let test_whole_corpus () =
   List.iter
