@@ -678,6 +678,15 @@ let explore_bench ?(quick = false) () =
 (* P4: pass-manager pipeline benchmark -> BENCH_pipeline.json          *)
 (* ------------------------------------------------------------------ *)
 
+(* The default safe pipeline: the pipeline, refine and rmw modes all
+   run it. *)
+let safe_pipeline = "constprop;copyprop;cse*;dead-moves;dse;normalise"
+
+let safe_spec =
+  match Safeopt_opt.Pipeline.parse safe_pipeline with
+  | Ok s -> s
+  | Error e -> failwith e
+
 (* Run the default safe pipeline with per-pass differential validation
    over the litmus corpus, recording per-program pass work (rewrite
    sites, validation wall time, exploration states).  [quick] trims the
@@ -692,20 +701,14 @@ let pipeline_bench ?(quick = false) () =
   let corpus =
     if quick then List.filteri (fun i _ -> i < 4) Corpus.all else Corpus.all
   in
-  let spec =
-    match Pipeline.parse "constprop;copyprop;cse*;dead-moves;dse;normalise"
-    with
-    | Ok s -> s
-    | Error e -> failwith e
-  in
   let t0 = Clock.now () in
   let rows =
     List.map
       (fun (l : Litmus.t) ->
         let p = Litmus.program l in
         let o =
-          Pipeline.run ~validate_each:true ~validator:Validate.Exhaustive spec
-            p
+          Pipeline.run ~validate_each:true ~validator:Validate.Exhaustive
+            safe_spec p
         in
         let sites =
           List.fold_left
@@ -743,7 +746,7 @@ let pipeline_bench ?(quick = false) () =
          "{";
          "  \"schema\": \"bench_pipeline/v1\",";
          Printf.sprintf "  \"quick\": %b," quick;
-         "  \"pipeline\": \"constprop;copyprop;cse*;dead-moves;dse;normalise\",";
+         Printf.sprintf "  \"pipeline\": %S," safe_pipeline;
          Printf.sprintf "  \"programs\": %d," (List.length corpus);
          Printf.sprintf "  \"wall_s\": %.4f," wall;
          Printf.sprintf "  \"phases\": %s," phases;
@@ -984,46 +987,36 @@ let redundant_read_program n =
     volatile = Location.Volatile.none;
   }
 
-(* Two halves, both feeding BENCH_refine.json:
+(* The validator ladder over a set of tests: the safe pipeline with
+   per-pass validation under [Auto] must agree, pass for pass, with the
+   same run under [Exhaustive] (the refine rung escalates instead of
+   rejecting, so this agreement is exact, not approximate).  The metrics
+   registry is enabled only around one [Auto] sweep, so the validate.*
+   counters give a clean fast-path hit rate.  The walls are the best of
+   five alternating timed sweeps of each validator, metrics off for
+   both, so one scheduler or GC stall cannot decide a cost claim. *)
+type ladder = {
+  validations : int;
+  static_hits : int;
+  refine_hits : int;
+  refine_misses : int;
+  exhaustive_runs : int;
+  auto_wall : float;
+  exh_wall : float;
+  agreements : (string * string * bool) list;  (** name, verdict, agree *)
+  all_agree : bool;
+}
 
-   1. Differential over the litmus corpus: the default safe pipeline
-      with per-pass validation under [Auto] must agree, pass for pass,
-      with the same run under [Exhaustive] (the refine rung escalates
-      instead of rejecting, so this agreement is exact, not
-      approximate).  The metrics registry is enabled only around one
-      [Auto] sweep, so the validate.* counters give a clean fast-path
-      hit rate; the acceptance criterion is that a majority of
-      validations are decided without enumerating one interleaving.
-      The cost claim compares the best of five alternating timed
-      sweeps of each validator.
-
-   2. Scaling: validate cse on [redundant_read_program n] for growing
-      n, by refinement and by exhaustive enumeration under a state
-      budget.  At n = 8 the exhaustive validator must exceed the
-      budget while refinement still answers (and its per-thread
-      verdicts carry completeness, so the answer is sound).
-
-   [quick] trims the corpus sweep — the CI smoke mode. *)
-let refine_bench ?(quick = false) () =
+let ladder_sweep tests =
   let open Safeopt_opt in
-  hr "P6: thread-local refinement validator -> BENCH_refine.json";
-  let corpus =
-    if quick then List.filteri (fun i _ -> i < 6) Corpus.all else Corpus.all
-  in
-  let spec =
-    match Pipeline.parse "constprop;copyprop;cse*;dead-moves;dse;normalise"
-    with
-    | Ok s -> s
-    | Error e -> failwith e
-  in
   let sweep validator =
     List.map
       (fun (l : Litmus.t) ->
-        (l.Litmus.name, Pipeline.run ~validate_each:true ~validator spec
-                          (Litmus.program l)))
-      corpus
+        ( l.Litmus.name,
+          Pipeline.run ~validate_each:true ~validator safe_spec
+            (Litmus.program l) ))
+      tests
   in
-  (* metrics on only around one Auto sweep: clean fast-path counters *)
   Obs.Metrics.reset_global ();
   Obs.Metrics.set_enabled true;
   let auto_runs = sweep Validate.Auto in
@@ -1031,23 +1024,13 @@ let refine_bench ?(quick = false) () =
   let counter n =
     Option.value ~default:0 Obs.Metrics.(find_counter global n)
   in
-  let outcomes = counter "validate.outcomes" in
-  let static_hits = counter "validate.static_hits" in
-  let refine_hits = counter "validate.refine_hits" in
-  let refine_misses = counter "validate.refine_misses" in
-  let exhaustive_runs = counter "validate.exhaustive_runs" in
   let exh_runs = sweep Validate.Exhaustive in
-  (* Walls: after the two warm-up sweeps above, the best of [reps]
-     alternating sweeps of each validator, metrics off for both, so one
-     scheduler or GC stall cannot decide the cost claim. *)
-  let reps = 5 in
   let auto_wall = ref infinity and exh_wall = ref infinity in
   let best wall v = wall := Float.min !wall (snd (time (fun () -> sweep v))) in
-  for _ = 1 to reps do
+  for _ = 1 to 5 do
     best auto_wall Validate.Auto;
     best exh_wall Validate.Exhaustive
   done;
-  let auto_wall = !auto_wall and exh_wall = !exh_wall in
   let verdict (o : Pipeline.outcome) =
     match o.Pipeline.failure with
     | None -> "ok"
@@ -1062,24 +1045,77 @@ let refine_bench ?(quick = false) () =
         (name, verdict a, agree))
       auto_runs exh_runs
   in
-  let all_agree = List.for_all (fun (_, _, a) -> a) agreements in
+  let l =
+    {
+      validations = counter "validate.outcomes";
+      static_hits = counter "validate.static_hits";
+      refine_hits = counter "validate.refine_hits";
+      refine_misses = counter "validate.refine_misses";
+      exhaustive_runs = counter "validate.exhaustive_runs";
+      auto_wall = !auto_wall;
+      exh_wall = !exh_wall;
+      agreements;
+      all_agree = List.for_all (fun (_, _, a) -> a) agreements;
+    }
+  in
   List.iter
     (fun (name, v, agree) ->
       Fmt.pr "  %-24s auto: %-10s agree with exhaustive: %b@." name v agree)
     agreements;
-  let decided_fast = static_hits + refine_hits in
   Fmt.pr
     "  validations: %d  static: %d  refine: %d  escalated: %d  exhaustive \
      runs: %d@."
-    outcomes static_hits refine_hits refine_misses exhaustive_runs;
+    l.validations l.static_hits l.refine_hits l.refine_misses
+    l.exhaustive_runs;
   Fmt.pr "  auto sweep: %.2f ms; exhaustive sweep: %.2f ms@."
-    (auto_wall *. 1000.) (exh_wall *. 1000.);
+    (l.auto_wall *. 1000.) (l.exh_wall *. 1000.);
+  l
+
+(* The ladder's JSON fields, from "validations" to "all_verdicts_agree". *)
+let ladder_json l =
+  [
+    Printf.sprintf "  \"validations\": %d," l.validations;
+    Printf.sprintf "  \"static_hits\": %d," l.static_hits;
+    Printf.sprintf "  \"refine_hits\": %d," l.refine_hits;
+    Printf.sprintf "  \"refine_misses\": %d," l.refine_misses;
+    Printf.sprintf "  \"exhaustive_runs\": %d," l.exhaustive_runs;
+    Printf.sprintf "  \"fast_path_rate\": %.3f,"
+      (if l.validations = 0 then 0.
+       else
+         float_of_int (l.static_hits + l.refine_hits)
+         /. float_of_int l.validations);
+    Printf.sprintf "  \"auto_wall_s\": %.4f," l.auto_wall;
+    Printf.sprintf "  \"exhaustive_wall_s\": %.4f," l.exh_wall;
+    Printf.sprintf "  \"all_verdicts_agree\": %b," l.all_agree;
+  ]
+
+(* Two halves, both feeding BENCH_refine.json:
+
+   1. The validator ladder over the litmus corpus ([ladder_sweep]);
+      the acceptance criterion is that a majority of validations are
+      decided without enumerating one interleaving, and the cost claim
+      compares the best sweep walls of the two validators.
+
+   2. Scaling: validate cse on [redundant_read_program n] for growing
+      n, by refinement and by exhaustive enumeration under a state
+      budget.  At n = 8 the exhaustive validator must exceed the
+      budget while refinement still answers (and its per-thread
+      verdicts carry completeness, so the answer is sound).
+
+   [quick] trims the corpus sweep — the CI smoke mode. *)
+let refine_bench ?(quick = false) () =
+  let open Safeopt_opt in
+  hr "P6: thread-local refinement validator -> BENCH_refine.json";
+  let corpus =
+    if quick then List.filteri (fun i _ -> i < 6) Corpus.all else Corpus.all
+  in
+  let l = ladder_sweep corpus in
   claim "auto and exhaustive pipeline verdicts agree on the corpus" true
-    all_agree;
+    l.all_agree;
   claim "majority of validations decided without interleavings" true
-    (2 * decided_fast > outcomes);
+    (2 * (l.static_hits + l.refine_hits) > l.validations);
   claim "auto costs at most twice exhaustive plus 10 ms" true
-    (auto_wall <= (2. *. exh_wall) +. 0.01);
+    (l.auto_wall <= (2. *. l.exh_wall) +. 0.01);
   (* scaling: refinement answers where enumeration exceeds its budget *)
   let state_budget = 200_000 in
   Fmt.pr "  %-8s %-14s %-12s %-22s@." "threads" "refine (ms)" "verdict"
@@ -1142,7 +1178,7 @@ let refine_bench ?(quick = false) () =
       (fun (name, v, agree) ->
         Printf.sprintf "    {\"name\": %S, \"verdict\": %S, \"agree\": %b}"
           name v agree)
-      agreements
+      l.agreements
   in
   let json =
     String.concat "\n"
@@ -1150,22 +1186,14 @@ let refine_bench ?(quick = false) () =
          "{";
          "  \"schema\": \"bench_refine/v1\",";
          Printf.sprintf "  \"quick\": %b," quick;
-         "  \"pipeline\": \"constprop;copyprop;cse*;dead-moves;dse;normalise\",";
+         Printf.sprintf "  \"pipeline\": %S," safe_pipeline;
          Printf.sprintf "  \"programs\": %d," (List.length corpus);
-         Printf.sprintf "  \"validations\": %d," outcomes;
-         Printf.sprintf "  \"static_hits\": %d," static_hits;
-         Printf.sprintf "  \"refine_hits\": %d," refine_hits;
-         Printf.sprintf "  \"refine_misses\": %d," refine_misses;
-         Printf.sprintf "  \"exhaustive_runs\": %d," exhaustive_runs;
-         Printf.sprintf "  \"fast_path_rate\": %.3f,"
-           (if outcomes = 0 then 0.
-            else float_of_int decided_fast /. float_of_int outcomes);
-         Printf.sprintf "  \"auto_wall_s\": %.4f," auto_wall;
-         Printf.sprintf "  \"exhaustive_wall_s\": %.4f," exh_wall;
-         Printf.sprintf "  \"all_verdicts_agree\": %b," all_agree;
-         Printf.sprintf "  \"state_budget\": %d," state_budget;
-         "  \"corpus\": [";
        ]
+      @ ladder_json l
+      @ [
+          Printf.sprintf "  \"state_budget\": %d," state_budget;
+          "  \"corpus\": [";
+        ]
       @ [ String.concat ",\n" corpus_rows ]
       @ [ "  ],"; "  \"scaling\": [" ]
       @ [ String.concat ",\n" scaling_rows ]
@@ -1200,7 +1228,6 @@ let lock_free_pack =
   ]
 
 let rmw_bench () =
-  let open Safeopt_opt in
   hr "P7: lock-free atomic pack -> BENCH_rmw.json";
   Fmt.pr "  %-24s %-8s %12s@." "scenario" "litmus" "wall (ms)";
   let walls =
@@ -1226,62 +1253,11 @@ let rmw_bench () =
   claim "SB-with-xchg has no relaxed TSO outcome (buffer flushed)" true
     tso_flush;
   claim "nor under PSO (all per-location buffers flushed)" true pso_flush;
-  let spec =
-    match Pipeline.parse "constprop;copyprop;cse*;dead-moves;dse;normalise"
-    with
-    | Ok s -> s
-    | Error e -> failwith e
-  in
-  let sweep validator =
-    List.map
-      (fun (l : Litmus.t) ->
-        ( l.Litmus.name,
-          Pipeline.run ~validate_each:true ~validator spec
-            (Litmus.program l) ))
-      lock_free_pack
-  in
-  Obs.Metrics.reset_global ();
-  Obs.Metrics.set_enabled true;
-  let auto_runs, auto_wall = time (fun () -> sweep Validate.Auto) in
-  Obs.Metrics.set_enabled false;
-  let counter n =
-    Option.value ~default:0 Obs.Metrics.(find_counter global n)
-  in
-  let outcomes = counter "validate.outcomes" in
-  let static_hits = counter "validate.static_hits" in
-  let refine_hits = counter "validate.refine_hits" in
-  let refine_misses = counter "validate.refine_misses" in
-  let exhaustive_runs = counter "validate.exhaustive_runs" in
-  let exh_runs, exh_wall = time (fun () -> sweep Validate.Exhaustive) in
-  let verdict (o : Pipeline.outcome) =
-    match o.Pipeline.failure with
-    | None -> "ok"
-    | Some (pass, _) -> "REJECTED at " ^ pass
-  in
-  let agreements =
-    List.map2
-      (fun (name, (a : Pipeline.outcome)) (_, (e : Pipeline.outcome)) ->
-        let agree =
-          verdict a = verdict e && Ast.equal_program a.final e.final
-        in
-        (name, verdict a, agree))
-      auto_runs exh_runs
-  in
-  let all_agree = List.for_all (fun (_, _, a) -> a) agreements in
-  List.iter
-    (fun (name, v, agree) ->
-      Fmt.pr "  %-24s auto: %-10s agree with exhaustive: %b@." name v agree)
-    agreements;
-  Fmt.pr
-    "  validations: %d  static: %d  refine: %d  escalated: %d  exhaustive \
-     runs: %d@."
-    outcomes static_hits refine_hits refine_misses exhaustive_runs;
-  Fmt.pr "  auto sweep: %.2f ms; exhaustive sweep: %.2f ms@."
-    (auto_wall *. 1000.) (exh_wall *. 1000.);
+  let l = ladder_sweep lock_free_pack in
   claim "auto and exhaustive pipeline verdicts agree on the pack" true
-    all_agree;
+    l.all_agree;
   claim "no atomic-bearing rewrite is decided by the refine rung" true
-    (refine_hits = 0 || outcomes > refine_hits);
+    (l.refine_hits = 0 || l.validations > l.refine_hits);
   let scenario_rows =
     List.map2
       (fun (name, ok, wall) (_, v, agree) ->
@@ -1289,32 +1265,20 @@ let rmw_bench () =
           "    {\"name\": %S, \"litmus_ok\": %b, \"litmus_wall_s\": %.6f, \
            \"pipeline_verdict\": %S, \"ladder_agrees\": %b}"
           name ok wall v agree)
-      walls agreements
+      walls l.agreements
   in
   let json =
     String.concat "\n"
       ([
          "{";
          "  \"schema\": \"bench_rmw/v1\",";
-         "  \"pipeline\": \"constprop;copyprop;cse*;dead-moves;dse;normalise\",";
+         Printf.sprintf "  \"pipeline\": %S," safe_pipeline;
          Printf.sprintf "  \"scenarios\": %d," (List.length lock_free_pack);
          Printf.sprintf "  \"tso_flush\": %b," tso_flush;
          Printf.sprintf "  \"pso_flush\": %b," pso_flush;
-         Printf.sprintf "  \"validations\": %d," outcomes;
-         Printf.sprintf "  \"static_hits\": %d," static_hits;
-         Printf.sprintf "  \"refine_hits\": %d," refine_hits;
-         Printf.sprintf "  \"refine_misses\": %d," refine_misses;
-         Printf.sprintf "  \"exhaustive_runs\": %d," exhaustive_runs;
-         Printf.sprintf "  \"fast_path_rate\": %.3f,"
-           (if outcomes = 0 then 0.
-            else
-              float_of_int (static_hits + refine_hits)
-              /. float_of_int outcomes);
-         Printf.sprintf "  \"auto_wall_s\": %.4f," auto_wall;
-         Printf.sprintf "  \"exhaustive_wall_s\": %.4f," exh_wall;
-         Printf.sprintf "  \"all_verdicts_agree\": %b," all_agree;
-         "  \"scenarios_detail\": [";
        ]
+      @ ladder_json l
+      @ [ "  \"scenarios_detail\": [" ]
       @ [ String.concat ",\n" scenario_rows ]
       @ [ "  ]"; "}" ])
   in

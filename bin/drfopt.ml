@@ -191,7 +191,8 @@ let progress_arg =
    is registered with [at_exit]; it runs before the stdlib's formatter
    flushes (registered earlier, hence later in at_exit order). *)
 (* The heartbeat's progress view: the explorer's live tracker (registry
-   + in-flight deltas, consistent and monotone) plus the arena gauge. *)
+   + records still counting, consistent and monotone) plus the arena
+   gauge. *)
 let live_progress_fields () =
   let s = Explorer.live_progress () in
   let arena =

@@ -2,11 +2,6 @@ open Safeopt_trace
 
 type f = int array
 
-let pp_f ppf f =
-  Fmt.(brackets (list ~sep:comma (pair ~sep:(any "->") int int)))
-    ppf
-    (Array.to_list (Array.mapi (fun i j -> (i, j)) f))
-
 let is_permutation f =
   let n = Array.length f in
   let seen = Array.make n false in

@@ -19,8 +19,6 @@ type f = int array
 (** [f.(k)] is the original-trace position of the transformed trace's
     [k]-th action. *)
 
-val pp_f : f Fmt.t
-
 val is_permutation : f -> bool
 
 val is_reordering_function : Location.Volatile.t -> Trace.t -> f -> bool

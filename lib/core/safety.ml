@@ -55,6 +55,3 @@ let check_elimination ?proper ?max_states vol ~original ~transformed ~universe
 let check_reordering ?max_states vol ~original ~transformed =
   check_with ?max_states vol ~original ~transformed ~relation:(fun () ->
       Reorder.is_reordering vol ~original ~transformed)
-
-let check_behaviours_only ?max_states vol ~original ~transformed =
-  check_with ?max_states vol ~original ~transformed ~relation:(fun () -> true)

@@ -53,13 +53,3 @@ val check_reordering :
   transformed:Traceset.t ->
   verdict
 (** Validate Theorem 2. *)
-
-val check_behaviours_only :
-  ?max_states:int ->
-  Location.Volatile.t ->
-  original:Traceset.t ->
-  transformed:Traceset.t ->
-  verdict
-(** DRF and behaviour-inclusion checks without any traceset-relation
-    claim ([relation_holds] is [true]); for transformation chains
-    whose per-step relations were checked separately. *)

@@ -1,5 +1,6 @@
 open Safeopt_trace
 open Safeopt_exec
+module Model = Safeopt_model.Memory_model
 
 type evidence =
   | New_behaviour of Behaviour.t
@@ -10,10 +11,10 @@ type 'p t = {
   original : 'p;
   transformed : 'p;
   evidence : evidence;
-  model : string;
+  model : Model.t;
 }
 
-let make ?(model = "sc") ~original ~transformed evidence =
+let make ?(model = Model.Sc) ~original ~transformed evidence =
   { original; transformed; evidence; model }
 
 let pp_evidence ppf = function
@@ -32,7 +33,9 @@ let pp_evidence ppf = function
 let pp pp_program ppf w =
   Fmt.pf ppf "@[<v>@[<v2>original:@ %a@]@ @[<v2>transformed:@ %a@]@ %a%a@]"
     pp_program w.original pp_program w.transformed pp_evidence w.evidence
-    (fun ppf m -> if m <> "sc" then Fmt.pf ppf "@ (under the %s memory model)" m)
+    (fun ppf m ->
+      if not (Model.equal m Model.Sc) then
+        Fmt.pf ppf "@ (under the %a memory model)" Model.pp m)
     w.model
 
 let map f w = { w with original = f w.original; transformed = f w.transformed }

@@ -7,8 +7,7 @@
     transformation, or a transformed trace with no semantic
     elimination/reordering justification (the §4/§6 relation checks).
 
-    The type is polymorphic in the program representation so this
-    module can live in [safeopt.core] (which is AST-agnostic): the
+    The type is polymorphic in the program representation: the
     traceset-level validators instantiate ['p] with
     {!Safeopt_trace.Traceset.t}, the program-level pipeline with
     [Safeopt_lang.Ast.program]. *)
@@ -31,14 +30,19 @@ type 'p t = {
   original : 'p;  (** the program (or traceset) before the failing step *)
   transformed : 'p;  (** the rejected result *)
   evidence : evidence;
-  model : string;
-      (** the memory model the evidence was observed under ("sc",
-          "tso", "pso"): behaviours and races are model-relative, so a
-          counterexample must name its backend to be replayable *)
+  model : Safeopt_model.Memory_model.t;
+      (** the memory model the evidence was observed under: behaviours
+          and races are model-relative, so a counterexample must name
+          its backend to be replayable *)
 }
 
-val make : ?model:string -> original:'p -> transformed:'p -> evidence -> 'p t
-(** [model] defaults to ["sc"]. *)
+val make :
+  ?model:Safeopt_model.Memory_model.t ->
+  original:'p ->
+  transformed:'p ->
+  evidence ->
+  'p t
+(** [model] defaults to [Sc]. *)
 
 val pp_evidence : evidence Fmt.t
 

@@ -21,9 +21,6 @@ module Set = struct
     | [] -> [ [] ]
     | v :: rest -> [] :: List.map (fun p -> v :: p) (list_prefixes rest)
 
-  let prefix_closure s =
-    fold (fun b acc -> List.fold_left (fun acc p -> add p acc) acc (list_prefixes b)) s s
-
   let is_prefix_closed s =
     for_all (fun b -> List.for_all (fun p -> mem p s) (list_prefixes b)) s
 

@@ -23,7 +23,6 @@ module Set : sig
   val list_prefixes : elt -> elt list
   (** All prefixes of one behaviour, shortest first. *)
 
-  val prefix_closure : t -> t
   val is_prefix_closed : t -> bool
 
   val maximal : t -> elt list

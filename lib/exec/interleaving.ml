@@ -186,11 +186,6 @@ module Wild = struct
   type wpair = { tid : Thread_id.t; elt : Wildcard.elt }
   type wt = wpair list
 
-  let of_interleaving i =
-    List.map
-      (fun (p : pair) -> { tid = p.tid; elt = Wildcard.Concrete p.action })
-      i
-
   let pp_wpair ppf p =
     Fmt.pf ppf "(%a,%a)" Thread_id.pp p.tid Wildcard.pp_elt p.elt
 

@@ -93,7 +93,6 @@ module Wild : sig
   type wpair = { tid : Thread_id.t; elt : Wildcard.elt }
   type wt = wpair list
 
-  val of_interleaving : t -> wt
   val pp : wt Fmt.t
   val length : wt -> int
   val trace_of : Thread_id.t -> wt -> Wildcard.t

@@ -535,9 +535,6 @@ module Ptbl = struct
   let words t =
     Array.fold_left (fun acc s -> acc + s.used) 0 t.tab
 
-  let slot_words t =
-    Array.fold_left (fun acc s -> acc + s.nslots) 0 t.tab
-
   let digest_equal st off (d : int array) =
     let len = Array.length d in
     st.arena.(off) = len
@@ -645,13 +642,10 @@ module Ptbl = struct
     if t.locked then Mutex.unlock st.mu;
     r
 
-  (* Unit-specialised entry points for callers that only want
+  (* Unit-specialised entry point for callers that only want
      hash-consed ids with no per-entry bookkeeping. *)
   let intern (t : unit t) d =
     fst (update t d (function Some () -> ((), false) | None -> ((), true)))
-
-  let intern_fresh (t : unit t) d =
-    update t d (function Some () -> ((), false) | None -> ((), true))
 
   (* Run [f] under the stripe lock of digest [d] without probing —
      for publishing updates to a meta record obtained earlier. *)

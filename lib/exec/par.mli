@@ -208,11 +208,6 @@ module Ptbl : sig
   val intern : unit t -> Ikey.t -> int
   (** Plain hash-consing for tables with no per-entry bookkeeping. *)
 
-  val intern_fresh : unit t -> Ikey.t -> int * bool
-  (** Like {!intern}, also reporting whether the key was fresh.  The
-      worker that interns a digest first (and only that worker) sees
-      [true]. *)
-
   val iter : 'a t -> (int -> 'a -> unit) -> unit
   (** Iterate over every (id, meta) entry.  Takes no locks: call only
       once all workers have joined. *)
@@ -222,7 +217,4 @@ module Ptbl : sig
   val words : 'a t -> int
   (** Arena occupancy: total packed digest words (including the
       per-entry length header) across all stripes. *)
-
-  val slot_words : 'a t -> int
-  (** Index occupancy: total open-addressing slots allocated. *)
 end

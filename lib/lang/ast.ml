@@ -70,8 +70,6 @@ let equal_program a b =
   List.equal equal_thread a.threads b.threads
   && Location.Volatile.equal a.volatile b.volatile
 
-let compare_stmt a b = Stdlib.compare a b
-
 let rec fv_stmt = function
   | Store (l, _) | Load (_, l) | Atomic (_, l, _) -> Location.Set.singleton l
   | Move _ | Lock _ | Unlock _ | Skip | Print _ -> Location.Set.empty
@@ -83,11 +81,6 @@ and fv_thread l =
   List.fold_left
     (fun acc s -> Location.Set.union acc (fv_stmt s))
     Location.Set.empty l
-
-let fv_program p =
-  List.fold_left
-    (fun acc t -> Location.Set.union acc (fv_thread t))
-    Location.Set.empty p.threads
 
 let regs_operand = function Reg r -> Reg.Set.singleton r | Nat _ -> Reg.Set.empty
 
@@ -159,17 +152,6 @@ let rec all_constants_stmt = function
 let all_constants_program p =
   List.concat_map (List.concat_map all_constants_stmt) p.threads
   |> List.sort_uniq Int.compare
-
-let rec monitors_stmt = function
-  | Lock m | Unlock m -> [ m ]
-  | Store _ | Load _ | Move _ | Skip | Print _ | Atomic _ -> []
-  | Block l -> List.concat_map monitors_stmt l
-  | If (_, s1, s2) -> monitors_stmt s1 @ monitors_stmt s2
-  | While (_, s) -> monitors_stmt s
-
-let monitors_program p =
-  List.concat_map (List.concat_map monitors_stmt) p.threads
-  |> List.sort_uniq Monitor.compare
 
 let rec stmt_size = function
   | Store _ | Load _ | Move _ | Lock _ | Unlock _ | Skip | Print _ | Atomic _

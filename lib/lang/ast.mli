@@ -61,7 +61,6 @@ val equal_rmw : rmw -> rmw -> bool
 val equal_stmt : stmt -> stmt -> bool
 val equal_thread : thread -> thread -> bool
 val equal_program : program -> program -> bool
-val compare_stmt : stmt -> stmt -> int
 
 (** {1 Static analyses used by the transformation rules} *)
 
@@ -70,7 +69,6 @@ val fv_stmt : stmt -> Location.Set.t
     side conditions). *)
 
 val fv_thread : thread -> Location.Set.t
-val fv_program : program -> Location.Set.t
 
 val regs_stmt : stmt -> Reg.Set.t
 (** All register names occurring in [S] (read or written). *)
@@ -94,8 +92,6 @@ val constants_program : program -> int list
 val all_constants_program : program -> int list
 (** Every literal in the program, including those in tests (a superset
     of {!constants_program}; useful for choosing value universes). *)
-
-val monitors_program : program -> Monitor.t list
 
 val stmt_size : stmt -> int
 (** Number of AST nodes (for generators and benchmarks). *)

@@ -56,8 +56,8 @@ val check_all :
   outcome list
 (** Check a corpus, one test per pool job under [jobs]/[pool]
     ([Safeopt_exec.Par]).  Outcomes come back in input order and are
-    identical to [List.map check]; per-job stats records are merged
-    into [stats] after the join. *)
+    identical to [List.map check]; every job counts into [stats]
+    ({!Explorer.batch_map}). *)
 
 val passed : outcome -> bool
 

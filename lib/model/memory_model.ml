@@ -35,12 +35,6 @@ let behaviours ?fuel ?max_states ?stats ?jobs ?pool m p =
   | Tso -> Store_buffer.Tso.program_behaviours ?fuel ?max_states ?stats ?jobs ?pool p
   | Pso -> Store_buffer.Pso.program_behaviours ?fuel ?max_states ?stats ?jobs ?pool p
 
-let system_behaviours ?max_states ?stats ?jobs ?pool m vol sys =
-  match m with
-  | Sc -> Explorer.behaviours ?max_states ?stats ?jobs ?pool sys
-  | Tso -> Store_buffer.Tso.behaviours ?max_states ?stats ?jobs ?pool vol sys
-  | Pso -> Store_buffer.Pso.behaviours ?max_states ?stats ?jobs ?pool vol sys
-
 let weak_behaviours ?fuel ?max_states ?stats ?jobs ?pool ?(than = Sc) m p =
   Behaviour.Set.diff
     (behaviours ?fuel ?max_states ?stats ?jobs ?pool m p)

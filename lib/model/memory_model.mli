@@ -77,17 +77,6 @@ val weak_behaviours :
     under {!Tso} (empty for DRF programs; Theorem 2 + section 8), the
     write-write reordering alone for [~than:Tso Pso]. *)
 
-val system_behaviours :
-  ?max_states:int ->
-  ?stats:Explorer.stats ->
-  ?jobs:int ->
-  ?pool:Par.Pool.t ->
-  t ->
-  Safeopt_trace.Location.Volatile.t ->
-  'ts System.t ->
-  Behaviour.Set.t
-(** As {!behaviours}, over an explicit {!Safeopt_exec.System}. *)
-
 val replays :
   ?fuel:int ->
   ?max_states:int ->

@@ -20,12 +20,6 @@ let value_to_json = function
   | Float f -> Json.Float f
   | Bool b -> Json.Bool b
 
-let pp_value ppf = function
-  | Str s -> Format.pp_print_string ppf s
-  | Int i -> Format.pp_print_int ppf i
-  | Float f -> Format.fprintf ppf "%g" f
-  | Bool b -> Format.pp_print_bool ppf b
-
 let to_json e =
   let fields = ref [] in
   let put k v = fields := (k, v) :: !fields in

@@ -35,4 +35,3 @@ type t = {
 val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
 val value_to_json : value -> Json.t
-val pp_value : Format.formatter -> value -> unit

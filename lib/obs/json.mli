@@ -39,7 +39,6 @@ val to_int : t -> int option
 (** {!Int} directly; {!Float} when integral. *)
 
 val to_float : t -> float option
-val to_bool : t -> bool option
 val to_str : t -> string option
 val to_list : t -> t list option
 val equal : t -> t -> bool

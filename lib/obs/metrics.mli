@@ -1,6 +1,6 @@
 (** A metrics registry: named counters, gauges and log-scale
     histograms, stripe-sharded so parallel domains record without
-    contention, merged at join like [Explorer.merge_stats].
+    contention; reads merge the stripes.
 
     Every metric's cells are striped by domain id ([Domain.self () mod
     stripes]), so concurrent recorders from a {!Safeopt_exec.Par} pool

@@ -8,15 +8,16 @@
    - Zero hot-path cost.  The sampler *pulls*: the explorer's hot loops
      are completely unchanged, and the only coupling is the progress
      closure handed to [start] (which reads word-atomic mutable fields
-     of in-flight stats records — racy but never torn).  Disabled, the
-     whole module is one flag read ([enabled]).
+     of the stats records still counting — racy but never torn).
+     Disabled, the whole module is one flag read ([enabled]).
 
-   - Monotone snapshots.  Each tick reads the registry and the
-     in-flight deltas under the explorer's live lock (inside the
-     progress closure), so a unit of work is counted exactly once —
-     either still in flight or already published, never both, never
-     neither.  Consecutive snapshots therefore never decrease in any
-     cumulative counter.
+   - Monotone snapshots.  Each tick reads the registry and the records
+     still counting under the explorer's live lock (inside the
+     progress closure), and a record is published under the same lock
+     as it leaves the in-flight set, so a unit of work is counted
+     exactly once — either still counting or already published, never
+     both, never neither.  Consecutive snapshots therefore never
+     decrease in any cumulative counter.
 
    - The final snapshot equals the end-of-run registry.  [stop] takes
      one last sample after callers have finished publishing, then joins

@@ -15,9 +15,10 @@
     [obs-overhead] bench pins {!enabled} at one flag read and zero
     allocation).  Snapshots are monotone in every cumulative counter
     when the progress closure reads a consistent view (see
-    {!Safeopt_exec.Explorer.live_progress}), and the final line written
-    by {!stop} equals the end-of-run registry — [stop] samples once
-    more after the run has published everything.
+    {!Safeopt_exec.Explorer.live_progress}: the registry plus every
+    stats record still counting), and the final line written by
+    {!stop} equals the end-of-run registry — [stop] samples once more
+    after the run has published everything.
 
     One sampler runs per process, like the tracer's process-global
     sink; a second {!start} stops the first. *)

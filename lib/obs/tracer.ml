@@ -24,8 +24,6 @@ let mu = Mutex.create ()
 let buf : Event.t list ref = ref []
 let count = ref 0
 
-let now_rel () = if !t0 = 0. then 0. else Clock.elapsed !t0
-
 let emit kind name id parent attrs =
   let e =
     {

@@ -67,6 +67,3 @@ val with_span :
     carries [attrs_of result]; exceptions close the span with an
     ["error"] attribute and re-raise.  Allocates a closure — for cold
     paths; hot paths use {!span}/{!close_span} directly. *)
-
-val now_rel : unit -> float
-(** Seconds since {!start} (0 when never started). *)

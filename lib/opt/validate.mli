@@ -119,9 +119,8 @@ val validate_batch :
   report list
 (** Validate many (original, transformed) pairs, sharded across the
     pool (one pair per job, claimed dynamically).  Reports come back in
-    input order and are identical to [List.map] of {!validate}; each
-    job accumulates into a private stats record, merged into [stats]
-    after the join. *)
+    input order and are identical to [List.map] of {!validate}; every
+    job counts into [stats] ({!Explorer.batch_map}). *)
 
 val witness :
   original:Ast.program ->

@@ -82,8 +82,6 @@ let value = function
   | Rmw (_, _, w) -> Some w
   | Lock _ | Unlock _ | Start _ -> None
 
-let rmw_values = function Rmw (_, r, w) -> Some (r, w) | _ -> None
-
 let monitor = function Lock m | Unlock m -> Some m | _ -> None
 
 (* Volatility-sensitive classification.  An RMW reads and writes in one
@@ -109,10 +107,6 @@ let is_normal_access vol = function
 
 let is_normal_read vol = function
   | Read (l, _) -> not (Location.Volatile.mem vol l)
-  | _ -> false
-
-let is_normal_write vol = function
-  | Write (l, _) -> not (Location.Volatile.mem vol l)
   | _ -> false
 
 let is_acquire vol a = is_lock a || is_volatile_read vol a || is_rmw a

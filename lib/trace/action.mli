@@ -67,9 +67,6 @@ val value : t -> Value.t option
 (** The value carried by a read, write or external action; for an RMW,
     the value written (its memory effect). *)
 
-val rmw_values : t -> (Value.t * Value.t) option
-(** [Some (read, written)] for an RMW, [None] otherwise. *)
-
 val monitor : t -> Monitor.t option
 (** The monitor of a lock or unlock. *)
 
@@ -83,7 +80,6 @@ val is_normal_access : Location.Volatile.t -> t -> bool
 (** An access to a non-volatile location. *)
 
 val is_normal_read : Location.Volatile.t -> t -> bool
-val is_normal_write : Location.Volatile.t -> t -> bool
 
 val is_acquire : Location.Volatile.t -> t -> bool
 (** A lock, a volatile read, or any RMW. *)
