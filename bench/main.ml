@@ -1098,9 +1098,12 @@ let ladder_json l =
 
    2. Scaling: validate cse on [redundant_read_program n] for growing
       n, by refinement and by exhaustive enumeration under a state
-      budget.  At n = 8 the exhaustive validator must exceed the
-      budget while refinement still answers (and its per-thread
-      verdicts carry completeness, so the answer is sound).
+      budget.  Both must answer, and agree, at every n: refinement
+      never enumerates an interleaving (and its per-thread verdicts
+      carry completeness, so the answer is sound), and the exhaustive
+      validator's partial-order reduction keeps it within the budget.
+      The unreduced enumeration of the same program at n = 8 must
+      exceed that budget: the blow-up both of them avoid.
 
    [quick] trims the corpus sweep — the CI smoke mode. *)
 let refine_bench ?(quick = false) () =
@@ -1154,11 +1157,22 @@ let refine_bench ?(quick = false) () =
   in
   claim "refinement validates every scaling point" true
     (List.for_all (fun (_, safe, _, _, _) -> safe) scaling);
-  claim "exhaustive exceeds its state budget at 8 threads" true
-    (List.exists
-       (fun (n, _, _, exh, _) ->
-         n = 8 && match exh with `Budget _ -> true | _ -> false)
+  claim "exhaustive validation agrees with refinement at every scaling point"
+    true
+    (List.for_all
+       (fun (_, safe, _, exh, _) -> exh = if safe then `Ok else `Failed)
        scaling);
+  let unreduced_exceeds, unreduced =
+    match
+      Interp.count_states ~max_states:state_budget (redundant_read_program 8)
+    with
+    | n -> (false, Printf.sprintf "%d states" n)
+    | exception Explorer.Too_many_states s ->
+        (true, Printf.sprintf "budget_exceeded:%d" s)
+  in
+  Fmt.pr "  unreduced enumeration at 8 threads: %s@." unreduced;
+  claim "unreduced enumeration exceeds the state budget at 8 threads" true
+    unreduced_exceeds;
   let scaling_rows =
     List.map
       (fun (n, safe, rwall, exh, ewall) ->
@@ -1192,6 +1206,7 @@ let refine_bench ?(quick = false) () =
       @ ladder_json l
       @ [
           Printf.sprintf "  \"state_budget\": %d," state_budget;
+          Printf.sprintf "  \"unreduced_8_threads\": %S," unreduced;
           "  \"corpus\": [";
         ]
       @ [ String.concat ",\n" corpus_rows ]

@@ -216,13 +216,20 @@ let observed name stats f =
    per job (claimed dynamically), each running the ordinary sequential
    analyses — the pool must not be re-entered from inside a worker.
    The jobs share the caller's record, which [f] closes over: each entry
-   point merges into it under the live lock. *)
+   point merges into it under the live lock.  The jobs' own explorations
+   run at pool size 1, so the batch itself reports the pool size, to the
+   record and to the [explorer.domains] gauge. *)
 let batch_map ?stats ?jobs ?pool f xs =
   Par.dispatch ?jobs ?pool
     ~seq:(fun () -> List.map f xs)
     ~par:(fun p ->
       let ys = Par.Pool.map_list p (fun _ x -> f x) xs in
-      Option.iter (fun s -> s.domains <- max s.domains (Par.Pool.size p)) stats;
+      let n = Par.Pool.size p in
+      Option.iter (fun s -> s.domains <- max s.domains n) stats;
+      if Metrics.enabled () then
+        Metrics.record
+          (Metrics.gauge Metrics.global "explorer.domains")
+          (float_of_int n);
       ys)
     ()
 
@@ -972,10 +979,12 @@ type 'st graph = {
   graph_digest : 'st -> int list;
 }
 
-let graph_behaviours ?(max_states = default_max_states) ?stats ?jobs ?pool g =
+let graph_behaviours ?(max_states = default_max_states) ?stats ?jobs ?pool
+    build =
   observed "explorer.graph" stats @@ fun stats ->
   with_pool ?jobs ?pool @@ fun pool ->
   let stats = sink stats in
+  let g = build ~shared:(Par.Pool.size pool > 1) in
   fold
     ~empty:(Behaviour.Set.singleton [])
     ~union:Behaviour.Set.union

@@ -117,7 +117,8 @@ val batch_map :
     analyses only: the pool is not re-entered from inside a worker.
     The jobs may share the caller's record [stats] — every entry point
     merges into it under a lock — and a parallel run raises
-    [stats.domains] to the pool size. *)
+    [stats.domains] to the pool size and, while [Metrics.enabled ()],
+    records it into the [explorer.domains] gauge. *)
 
 (** {1 Independence} *)
 
@@ -274,13 +275,15 @@ val graph_behaviours :
   ?stats:stats ->
   ?jobs:int ->
   ?pool:Par.Pool.t ->
-  'st graph ->
+  (shared:bool -> 'st graph) ->
   Behaviour.Set.t
-(** Prefix-closed behaviour set of the graph, memoised on the interned
-    digest.  Raises {!Cyclic} / {!Too_many_states} as above.
-    [jobs]/[pool] choose the pool as described under {e Pool size}; the
-    resulting set is identical at every size.  Above size 1 the engine
-    calls [graph_transitions] and [graph_digest] from several worker
-    domains concurrently, so any state the closures share (e.g.
-    interning tables) must be thread-safe — {!Par.Intern.create} is
-    made for this. *)
+(** [graph_behaviours build] is the prefix-closed behaviour set of the
+    graph [build ~shared], memoised on the interned digest.  Raises
+    {!Cyclic} / {!Too_many_states} as above.  [jobs]/[pool] choose the
+    pool as described under {e Pool size}; the resulting set is
+    identical at every size.  [shared] says whether that pool has
+    several workers.  If so, the engine calls [graph_transitions] and
+    [graph_digest] from several worker domains concurrently, so any
+    state the closures share (e.g. interning tables) must be
+    thread-safe — {!Par.Intern.create} is made for this; otherwise
+    {!Par.Intern.create_local} saves the locking. *)

@@ -10,3 +10,5 @@ type 'ts t = {
   steps : 'ts -> 'ts step list;
   key : 'ts -> string;
 }
+
+let encode v = Marshal.to_string v [ Marshal.No_sharing ]

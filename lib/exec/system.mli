@@ -36,5 +36,19 @@ type 'ts t = {
       (** Thread-local possibilities from a state. *)
   key : 'ts -> string;
       (** A canonical key for memoisation: two states with the same key
-          must have the same future. *)
+          must have the same future.  The engines intern it once per
+          thread step, so it should be cheap: build it with {!encode},
+          not by printing the state. *)
 }
+
+val encode : 'a -> string
+(** [encode v] is a binary key of [v]'s structure: one
+    [Marshal.to_string] without sharing, so structurally equal values
+    get equal keys and different values different keys.  Keys are
+    compared, hashed and interned, never decoded, and never leave the
+    process (the format may change between compiler versions).  [v]
+    must be immutable, acyclic and canonical — equal meanings must have
+    equal structure.  Bindings therefore go in as lists in key order,
+    never as a [Map] or [Set]: the tree shape of those depends on the
+    order of insertion.  Closures, and mutable or abstract values, must
+    not occur in [v]. *)

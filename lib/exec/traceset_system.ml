@@ -66,7 +66,8 @@ let make ts =
     in
     reads @ rmws @ others
   in
-  let key (tid, prefix) =
-    Printf.sprintf "%d:%s" tid (Trace.to_string prefix)
-  in
-  { System.initial = List.init n (fun i -> (i, [])); steps; key }
+  {
+    System.initial = List.init n (fun i -> (i, []));
+    steps;
+    key = System.encode;
+  }

@@ -9,18 +9,13 @@ type config = {
 let initial thread =
   { mons = Monitor.Map.empty; regs = Reg.Map.empty; code = thread }
 
-let config_key c =
-  let b = Buffer.create 64 in
-  Monitor.Map.iter
-    (fun m d -> if d <> 0 then Buffer.add_string b (Printf.sprintf "%s:%d;" m d))
-    c.mons;
-  Buffer.add_char b '|';
-  Reg.Map.iter
-    (fun r v -> if v <> 0 then Buffer.add_string b (Printf.sprintf "%s:%d;" r v))
-    c.regs;
-  Buffer.add_char b '|';
-  Buffer.add_string b (Pp.thread_compact c.code);
-  Buffer.contents b
+let canonical c =
+  let nonzero fold m =
+    fold (fun k v acc -> if v <> 0 then (k, v) :: acc else acc) m []
+  in
+  (nonzero Monitor.Map.fold c.mons, nonzero Reg.Map.fold c.regs, c.code)
+
+let config_key c = Safeopt_exec.System.encode (canonical c)
 
 let value_of c = function
   | Ast.Nat i -> i

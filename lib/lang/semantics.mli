@@ -25,9 +25,18 @@ type config = {
 val initial : Ast.thread -> config
 (** [sigma_0] maps all monitors to 0 and [s_0] all registers to 0. *)
 
+val canonical :
+  config -> (Monitor.t * int) list * (Reg.t * Value.t) list * Ast.stmt list
+(** What determines a configuration's future, in canonical form: the
+    non-zero monitor depths and the non-zero registers as binding lists
+    in (descending) key order, and the code.  A binding at 0 is the same
+    as an absent one, and equal maps give equal lists whatever order
+    they were built in. *)
+
 val config_key : config -> string
-(** Canonical serialisation (two configs with equal key have equal
-    futures); used for memoisation. *)
+(** The binary encoding ({!Safeopt_exec.System.encode}) of
+    {!canonical}: configurations with equal keys have equal futures.
+    Used for memoisation. *)
 
 val value_of : config -> Ast.operand -> Value.t
 (** [Val(s, ri)] of Fig. 7. *)

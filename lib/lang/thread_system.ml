@@ -57,9 +57,8 @@ let make ?(fuel = 64) p =
               (Action.External v, { st with config = c; fuel = spend st }) ]
   in
   let key st =
-    Printf.sprintf "%d:%b:%s:%s" st.tid st.started
-      (match st.fuel with None -> "-" | Some f -> string_of_int f)
-      (Semantics.config_key st.config)
+    System.encode
+      (st.tid, st.started, st.fuel, Semantics.canonical st.config)
   in
   { System.initial; steps; key }
 

@@ -239,7 +239,8 @@ let explained_by_transformations ?fuel ?max_states ?(max_programs = 2_000)
     | [] -> false
     | q :: qs ->
         let weak =
-          Behaviour.Set.diff weak (Interp.behaviours ?fuel ?max_states q)
+          Behaviour.Set.diff weak
+            (Interp.behaviours ?fuel ?max_states ~por:true q)
         in
         Behaviour.Set.is_empty weak || cover weak qs
   in

@@ -97,16 +97,26 @@ end
 module Make (B : BUFFER) : MACHINE = struct
   let name = B.name
 
+  (* [tkeys.(i)] is the interned key of thread [i]'s state, as in
+     [Explorer]'s scheduler states: a thread step re-keys only the
+     thread that steps, and a drain re-keys none. *)
   type 'ts state = {
     threads : 'ts array;
+    tkeys : int array;
     buffers : B.t array;
     mem : Value.t Location.Map.t;
     locks : (Thread_id.t * int) Monitor.Map.t;
   }
 
+  let set_thread ~tkey sys st tid ts' =
+    let threads = Array.copy st.threads and tkeys = Array.copy st.tkeys in
+    threads.(tid) <- ts';
+    tkeys.(tid) <- tkey (sys.System.key ts');
+    { st with threads; tkeys }
+
   (* Transitions: Some action for thread steps, None for buffer drains
      (invisible). *)
-  let transitions vol sys st =
+  let transitions ~tkey vol sys st =
     let out = ref [] in
     (* Drain steps: any buffered write the discipline allows out. *)
     Array.iteri
@@ -139,10 +149,10 @@ module Make (B : BUFFER) : MACHINE = struct
                 in
                 match k v with
                 | Some ts' ->
-                    let threads = Array.copy st.threads in
-                    threads.(tid) <- ts';
                     out :=
-                      (Some (Action.Read (l, v)), { st with threads }) :: !out
+                      ( Some (Action.Read (l, v)),
+                        set_thread ~tkey sys st tid ts' )
+                      :: !out
                 | None -> ())
             | System.Rmw (l, k) ->
                 (* An RMW fences (x86 LOCK prefix): it requires the
@@ -156,19 +166,15 @@ module Make (B : BUFFER) : MACHINE = struct
                   in
                   List.iter
                     (fun (w, ts') ->
-                      let threads = Array.copy st.threads in
-                      threads.(tid) <- ts';
+                      let st' = { st with mem = Location.Map.add l w st.mem } in
                       out :=
                         ( Some (Action.Rmw (l, v, w)),
-                          { st with threads; mem = Location.Map.add l w st.mem
-                          } )
+                          set_thread ~tkey sys st' tid ts' )
                         :: !out)
                     (k v)
             | System.Emit (a, ts') -> (
                 let commit st' =
-                  let threads = Array.copy st'.threads in
-                  threads.(tid) <- ts';
-                  out := (Some a, { st' with threads }) :: !out
+                  out := (Some a, set_thread ~tkey sys st' tid ts') :: !out
                 in
                 match a with
                 | Action.Read _ ->
@@ -223,34 +229,35 @@ module Make (B : BUFFER) : MACHINE = struct
     List.rev !out
 
   (* Length-prefixed injective int encoding of a machine state; thread
-     keys, locations and monitors are interned per [behaviours] call.
-     The interning tables are the sharded thread-safe ones because
-     [Explorer.graph_behaviours] may call the digest from several
-     worker domains at once under [jobs]/[pool]. *)
-  let digest ~tkey ~lkey ~mkey sys st =
-    let intern = Par.Intern.id in
+     keys, locations and monitors are interned per [behaviours] call
+     (thread keys already, into [tkeys], as the threads step).  Above
+     pool size 1 [Explorer.graph_behaviours] calls the transitions and
+     the digest from several worker domains at once, so the interning
+     tables are then the striped thread-safe ones; a lone worker gets
+     the mutex-free single-table ones. *)
+  let digest ~lkey ~mkey st =
     let acc = ref [] in
     let push x = acc := x :: !acc in
     Monitor.Map.iter
       (fun m (o, d) ->
-        push (intern mkey m);
+        push (mkey m);
         push o;
         push d)
       st.locks;
     push (Monitor.Map.cardinal st.locks);
     Location.Map.iter
       (fun l v ->
-        push (intern lkey l);
+        push (lkey l);
         push v)
       st.mem;
     push (Location.Map.cardinal st.mem);
     Array.iter
       (fun buf ->
-        let enc = B.digest (intern lkey) buf in
+        let enc = B.digest lkey buf in
         List.iter push enc;
         push (List.length enc))
       st.buffers;
-    Array.iter (fun ts -> push (intern tkey (sys.System.key ts))) st.threads;
+    Array.iter push st.tkeys;
     !acc
 
   let behaviours ?max_states ?stats ?jobs ?pool vol sys =
@@ -264,22 +271,28 @@ module Make (B : BUFFER) : MACHINE = struct
     Fun.protect
       ~finally:(fun () -> Safeopt_obs.Tracer.close_span sp)
       (fun () ->
-        let tkey = Par.Intern.create () in
-        let lkey = Par.Intern.create () in
-        let mkey = Par.Intern.create () in
         Explorer.graph_behaviours ?max_states ?stats ?jobs ?pool
-          {
-            Explorer.graph_initial =
-              {
-                threads = Array.of_list sys.System.initial;
-                buffers =
-                  Array.make (List.length sys.System.initial) B.empty;
-                mem = Location.Map.empty;
-                locks = Monitor.Map.empty;
-              };
-            graph_transitions = (fun st -> transitions vol sys st);
-            graph_digest = (fun st -> digest ~tkey ~lkey ~mkey sys st);
-          })
+          (fun ~shared ->
+            let intern () =
+              Par.Intern.id
+                (if shared then Par.Intern.create ()
+                 else Par.Intern.create_local ())
+            in
+            let tkey = intern () and lkey = intern () and mkey = intern () in
+            let threads = Array.of_list sys.System.initial in
+            {
+              Explorer.graph_initial =
+                {
+                  threads;
+                  tkeys =
+                    Array.map (fun ts -> tkey (sys.System.key ts)) threads;
+                  buffers = Array.make (Array.length threads) B.empty;
+                  mem = Location.Map.empty;
+                  locks = Monitor.Map.empty;
+                };
+              graph_transitions = transitions ~tkey vol sys;
+              graph_digest = digest ~lkey ~mkey;
+            }))
 
   let program_behaviours ?fuel ?max_states ?stats ?jobs ?pool
       (p : Ast.program) =

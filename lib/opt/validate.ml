@@ -424,7 +424,7 @@ let validate_chain ?fuel ?max_states ?stats ?jobs ?pool programs =
       let data =
         Explorer.batch_map ?stats ?jobs ?pool
           (fun p ->
-            ( Interp.behaviours ?fuel ?max_states ?stats p,
+            ( Interp.behaviours ?fuel ?max_states ~por:true ?stats p,
               find_race_fast ?fuel ?max_states ?stats p ))
           programs
       in

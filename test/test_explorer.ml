@@ -229,6 +229,18 @@ let test_por_cuts () =
     (corpus_programs ());
   check "POR cut transitions somewhere in the corpus" true (!cuts > 0)
 
+(* Thread-state keys decide which scheduler states are the same: these
+   totals grow if a key becomes finer and shrink if it becomes
+   coarser. *)
+let test_corpus_state_totals () =
+  let total por =
+    List.fold_left
+      (fun n p -> n + Interp.count_states ~por p)
+      0 (corpus_programs ())
+  in
+  Alcotest.(check int) "unreduced states over the corpus" 5126 (total false);
+  Alcotest.(check int) "reduced states over the corpus" 4612 (total true)
+
 (* The acceptance criterion: reduced and unreduced behaviour sets
    coincide on the entire corpus. *)
 let test_por_sound_on_corpus () =
@@ -295,6 +307,8 @@ let () =
         [
           Alcotest.test_case "cuts somewhere on corpus" `Quick test_por_cuts;
           Alcotest.test_case "sound on corpus" `Quick test_por_sound_on_corpus;
+          Alcotest.test_case "state totals on corpus" `Quick
+            test_corpus_state_totals;
         ] );
       ( "streaming",
         [

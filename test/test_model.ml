@@ -68,6 +68,22 @@ let test_dispatch_agrees () =
       Safeopt_litmus.Corpus.atomic_sb_xchg;
     ]
 
+(* The store-buffer machines key thread states like the SC engine: these
+   totals grow if a key becomes finer and shrink if it becomes
+   coarser. *)
+let test_corpus_state_totals () =
+  let states m =
+    let stats = Explorer.create_stats () in
+    List.iter
+      (fun t ->
+        ignore
+          (Model.behaviours ~stats m (Safeopt_litmus.Litmus.program t)))
+      Safeopt_litmus.Corpus.all;
+    stats.Explorer.states
+  in
+  Alcotest.(check int) "TSO states over the corpus" 6592 (states Model.Tso);
+  Alcotest.(check int) "PSO states over the corpus" 6726 (states Model.Pso)
+
 (* --- unit: the flagship portability asymmetry ----------------------- *)
 
 (* store-load-reorder on the lb shape: accepted under SC (Fig. 11
@@ -189,6 +205,8 @@ let () =
             test_dispatch_agrees;
           Alcotest.test_case "store-load-reorder on lb" `Quick
             test_store_load_reorder_lb;
+          Alcotest.test_case "state totals on corpus" `Quick
+            test_corpus_state_totals;
         ] );
       ( "inclusion",
         [ inclusion_j1; inclusion_j2; drf_equality_j1; drf_equality_j2 ] );

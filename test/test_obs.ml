@@ -480,6 +480,24 @@ let snapshot_invariants jobs =
              && shared.Explorer.states = final.Explorer.states
              && shared.Explorer.edges = final.Explorer.edges))
 
+(* A batch's jobs explore at pool size 1, so only the batch knows it
+   ran on several domains: both the caller's record and the registry
+   the heartbeat reads must say so. *)
+let test_batch_domains () =
+  let stats = Explorer.create_stats () in
+  Metrics.reset_global ();
+  Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Metrics.set_enabled false)
+    (fun () ->
+      ignore
+        (Safeopt_litmus.Litmus.check_all ~jobs:2 ~stats
+           Safeopt_litmus.Corpus.[ sb; mp ]));
+  let registry = Explorer.of_registry Metrics.global in
+  Metrics.reset_global ();
+  check_i "record domains" 2 stats.Explorer.domains;
+  check_i "registry domains" 2 registry.Explorer.domains
+
 (* --- publish / of_registry round-trip ------------------------------ *)
 
 let test_stats_registry_roundtrip () =
@@ -535,5 +553,10 @@ let () =
       ( "bench-diff",
         [ Alcotest.test_case "verdicts" `Quick test_bench_diff_verdicts ] );
       ( "heartbeat",
-        [ snapshot_invariants 1; snapshot_invariants 4 ] );
+        [
+          snapshot_invariants 1;
+          snapshot_invariants 4;
+          Alcotest.test_case "batch domains published" `Quick
+            test_batch_domains;
+        ] );
     ]

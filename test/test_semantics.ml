@@ -130,12 +130,36 @@ let test_run_sequential () =
   Alcotest.(check int) "memory updated" 4 (read "y")
 
 let test_config_key () =
+  let key = Semantics.config_key in
   let c1 = conf [ Ast.Print "r" ] and c2 = conf [ Ast.Print "r" ] in
-  Alcotest.(check string) "equal configs equal keys"
-    (Semantics.config_key c1) (Semantics.config_key c2);
+  Alcotest.(check string) "equal configs equal keys" (key c1) (key c2);
   check_b "different code different keys" true
-    (Semantics.config_key (conf [ Ast.Skip ])
-    <> Semantics.config_key (conf [ Ast.Print "r" ]))
+    (key (conf [ Ast.Skip ]) <> key (conf [ Ast.Print "r" ]));
+  (* The key depends on the bindings, not on how the maps were built:
+     binding r1..r4 in ascending and in descending order gives trees of
+     different shapes. *)
+  let bind order =
+    List.fold_left
+      (fun (c : Semantics.config) (r, v) ->
+        { c with regs = Reg.Map.add r v c.regs })
+      (conf [ Ast.Skip ]) order
+  in
+  let regs = [ ("r1", 1); ("r2", 2); ("r3", 3); ("r4", 4) ] in
+  let up = bind regs and down = bind (List.rev regs) in
+  check_b "the two register maps have different shapes" true
+    (Marshal.to_string up.regs [] <> Marshal.to_string down.regs []);
+  Alcotest.(check string) "register binding order" (key up) (key down);
+  (* A register or monitor at 0 is the same as an absent one. *)
+  let base = conf [ Ast.Skip ] in
+  Alcotest.(check string) "register at 0" (key base)
+    (key { base with regs = Reg.Map.singleton "r1" 0 });
+  Alcotest.(check string) "monitor at 0" (key base)
+    (key { base with mons = Safeopt_trace.Monitor.Map.singleton "m" 0 });
+  check_b "register at 1 differs" true
+    (key base <> key { base with regs = Reg.Map.singleton "r1" 1 });
+  check_b "monitor at 1 differs" true
+    (key base
+    <> key { base with mons = Safeopt_trace.Monitor.Map.singleton "m" 1 })
 
 let () =
   Alcotest.run "semantics"
