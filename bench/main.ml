@@ -776,16 +776,17 @@ let pipeline_bench ?(quick = false) () =
    criteria are re-checked explicitly: parallel behaviour sets must be
    identical to the sequential ones program by program, and parallel
    state counts (with the reduction on) must equal sequential ones
-   exactly — a parity failure exits nonzero so CI fails.  [quick]
-   trims the repetitions — the CI smoke mode.
+   exactly.  These parity checks are the mode's only claims, and the
+   mode exits through [exit_on_mismatch], so any of them failing fails
+   CI.  [quick] trims the repetitions — the CI smoke mode.
 
-   Honesty: speedup is bounded by the host's core count.  The JSON
-   records both the requested and the effective parallelism, and on a
-   host with fewer than 2 cores it carries ["degraded": true] — the
-   speedup figures of such a run measure scheduling overhead, not
-   scaling, and trajectory tooling must not read them as regressions.
-   The headline ">1x" claim is only made when the host can express
-   it. *)
+   Speedups are figures, not claims: they are bounded by the host's
+   core count, and on the corpus's small explorations two domains
+   mostly measure their own start-up.  The JSON records both the
+   requested and the effective parallelism, and on a host with fewer
+   than 2 cores it carries ["degraded": true] — the speedup figures of
+   such a run measure scheduling overhead, not scaling, and trajectory
+   tooling must not read them as regressions. *)
 let parallel_bench ?(quick = false) ~jobs () =
   let jobs_requested = Par.resolve_jobs jobs in
   hr "P5: work-stealing parallel exploration -> BENCH_parallel.json";
@@ -849,12 +850,10 @@ let parallel_bench ?(quick = false) ~jobs () =
             in
             Fmt.pr "  %-18s %-10d %-12.4f %-12.4f %.2fx@." name rseq wseq wpar
               speedup;
-            ( speedup,
-              Printf.sprintf
-                "    {\"name\": %S, \"total\": %d, \"seq_wall_s\": %.4f, \
-                 \"par_wall_s\": %.4f, \"speedup\": %.2f, \"totals_equal\": \
-                 %b}"
-                name rseq wseq wpar speedup (rseq = rpar) ))
+            Printf.sprintf
+              "    {\"name\": %S, \"total\": %d, \"seq_wall_s\": %.4f, \
+               \"par_wall_s\": %.4f, \"speedup\": %.2f, \"totals_equal\": %b}"
+              name rseq wseq wpar speedup (rseq = rpar))
           experiments
       in
       let totals_equal =
@@ -867,9 +866,8 @@ let parallel_bench ?(quick = false) ~jobs () =
               (Interp.behaviours ~pool p))
           all
       in
-      (* Exact reduced-count parity per program — the property the
-         per-item sleep sets restore — plus aggregate steal counts from
-         the work-stealing scheduler. *)
+      (* Exact reduced-count parity per program, plus aggregate steal
+         counts from the work-stealing scheduler. *)
       let pstats = Explorer.create_stats () in
       let states_parity =
         List.for_all
@@ -915,18 +913,6 @@ let parallel_bench ?(quick = false) ~jobs () =
       claim "parallel totals equal sequential totals" true totals_equal;
       claim "parallel and sequential behaviour sets identical" true identical;
       claim "reduced state counts identical across jobs" true states_parity;
-      if not degraded then begin
-        let above =
-          List.length (List.filter (fun (sp, _) -> sp > 1.0) rows)
-        in
-        claim "work-stealing speedup > 1.0x on at least two experiments" true
-          (above >= 2)
-      end
-      else
-        Fmt.pr
-          "  (headline speedup claim skipped: host has %d core(s), scaling \
-           cannot be expressed)@."
-          host_cores;
       let json =
         String.concat "\n"
           ([
@@ -943,7 +929,7 @@ let parallel_bench ?(quick = false) ~jobs () =
              Printf.sprintf "  \"lock_waits\": %d," pstats.Explorer.lock_waits;
              "  \"experiments\": [";
            ]
-          @ [ String.concat ",\n" (List.map snd rows) ]
+          @ [ String.concat ",\n" rows ]
           @ [ "  ],"; "  \"scaling\": [" ]
           @ [ String.concat ",\n" curve ]
           @ [
@@ -960,14 +946,7 @@ let parallel_bench ?(quick = false) ~jobs () =
       output_string oc json;
       output_char oc '\n';
       close_out oc;
-      Fmt.pr "  wrote BENCH_parallel.json@.";
-      if not (totals_equal && identical && states_parity) then begin
-        Fmt.epr
-          "bench: parallel parity broken (totals_equal=%b identical=%b \
-           states_parity=%b)@."
-          totals_equal identical states_parity;
-        exit 1
-      end)
+      Fmt.pr "  wrote BENCH_parallel.json@.")
 
 (* ------------------------------------------------------------------ *)
 (* P6: thread-local refinement validator -> BENCH_refine.json          *)
@@ -1603,8 +1582,8 @@ let () =
      validator-ladder differential and scaling comparison
      (BENCH_refine.json); `-- rmw` the lock-free atomic pack gates
      (BENCH_rmw.json); `-- portability` (or `portability-quick`) the
-     pass x memory-model matrix (BENCH_portability.json) — these three
-     exit 1 when a claim reads MISMATCH;
+     pass x memory-model matrix (BENCH_portability.json) — these three,
+     and the parallel modes, exit 1 when a claim reads MISMATCH;
      `-- obs-overhead` the disabled-telemetry cost guard (exits 1 when
      the guards are not free); the default runs the full reproduction
      suite. *)
@@ -1614,11 +1593,18 @@ let () =
   | [| _; "obs-overhead" |] -> obs_overhead ()
   | [| _; "pipeline" |] -> pipeline_bench ()
   | [| _; "pipeline-quick" |] -> pipeline_bench ~quick:true ()
-  | [| _; "parallel" |] -> parallel_bench ~jobs:4 ()
-  | [| _; "parallel"; j |] -> parallel_bench ~jobs:(int_of_string j) ()
-  | [| _; "parallel-quick" |] -> parallel_bench ~quick:true ~jobs:2 ()
+  | [| _; "parallel" |] ->
+      parallel_bench ~jobs:4 ();
+      exit_on_mismatch ()
+  | [| _; "parallel"; j |] ->
+      parallel_bench ~jobs:(int_of_string j) ();
+      exit_on_mismatch ()
+  | [| _; "parallel-quick" |] ->
+      parallel_bench ~quick:true ~jobs:2 ();
+      exit_on_mismatch ()
   | [| _; "parallel-quick"; j |] ->
-      parallel_bench ~quick:true ~jobs:(int_of_string j) ()
+      parallel_bench ~quick:true ~jobs:(int_of_string j) ();
+      exit_on_mismatch ()
   | [| _; "refine" |] ->
       refine_bench ();
       exit_on_mismatch ()

@@ -32,12 +32,14 @@ let behaviour_subset b1 b2 =
 
 let check_with ~relation ?(max_states = Explorer.default_max_states) vol
     ~original ~transformed =
-  let sys_o = Traceset_system.make original in
-  let sys_t = Traceset_system.make transformed in
-  let original_drf = Explorer.is_drf ~max_states vol sys_o in
-  let transformed_drf = Explorer.is_drf ~max_states vol sys_t in
-  let b_o = Explorer.behaviours ~max_states sys_o in
-  let b_t = Explorer.behaviours ~max_states sys_t in
+  let b_o, original_drf =
+    Explorer.behaviours_and_drf ~max_states vol
+      (Traceset_system.make original)
+  in
+  let b_t, transformed_drf =
+    Explorer.behaviours_and_drf ~max_states vol
+      (Traceset_system.make transformed)
+  in
   let counterexample = behaviour_subset b_t b_o in
   {
     original_drf;

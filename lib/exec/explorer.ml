@@ -328,13 +328,13 @@ let set_thread ctx st tid ts' =
   tkeys.(tid) <- ctx.tkey (ctx.sys.System.key ts');
   (threads, tkeys)
 
-(* All enabled transitions from a scheduler state:
-   ((thread id, action), successor state), in thread-index then step
-   order — the order every search expands them in. *)
-let enabled ctx st =
+(* All enabled transitions from a scheduler state whose threads offer
+   [steps]: ((thread id, action), successor state), in thread-index then
+   step order — the order every search expands them in. *)
+let transitions ctx st steps =
   let out = ref [] in
   Array.iteri
-    (fun tid ts ->
+    (fun tid thread_steps ->
       List.iter
         (fun step ->
           match step with
@@ -393,54 +393,26 @@ let enabled ctx st =
                         { st with locks; locks_id = intern_locks ctx locks }
                   | _ -> ())
               | Action.External _ | Action.Start _ -> commit st))
-        (ctx.sys.System.steps ts))
-    st.threads;
+        thread_steps)
+    steps;
   List.rev !out
 
+let offered ctx st = Array.map ctx.sys.System.steps st.threads
+let enabled ctx st = transitions ctx st (offered ctx st)
+
 (* ------------------------------------------------------------------ *)
-(* Independence and persistent sets                                    *)
+(* Persistent sets and the race test                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Two transitions of different threads commute iff their actions do not
-   conflict as memory accesses (same location with a write involved —
-   volatility is irrelevant for commutation, so the conflict test runs
-   with an empty volatile set), do not touch the same monitor, and are
-   not both external (external actions are the observable behaviour, so
-   their relative order must be preserved).  Two RMWs of the same
-   location do not {e conflict} (they never race — atomicity orders
-   them), but they do not commute either: each one's read sees the
-   other's write, so their order changes values.  They are therefore
-   dependent here even though [Action.conflicting] excuses them. *)
-let independent (t1, a1) (t2, a2) =
-  let same_loc_rmw =
-    match (a1, a2) with
-    | Action.Rmw (l1, _, _), Action.Rmw (l2, _, _) -> Location.equal l1 l2
-    | _ -> false
-  in
-  (not (Thread_id.equal t1 t2))
-  && (not (Action.conflicting Location.Volatile.none a1 a2))
-  && (not same_loc_rmw)
-  && (match (Action.monitor a1, Action.monitor a2) with
-     | Some m1, Some m2 -> not (Monitor.equal m1 m2)
-     | _ -> true)
-  && not (Action.is_external a1 && Action.is_external a2)
-
-(* Persistent-set selection, generalising the old singleton rule: if
-   some thread's enabled transitions are all invisible and statically
-   independent of every other thread ([local], plus start actions), that
-   thread's transitions alone form a persistent set.
-
-   The selection is deliberately a pure function of the state — in
-   particular it does {e not} look at the arriving sleep set.  That
-   makes the per-state exploration a monotone function of the sleep
-   lattice (smaller sleep can only add children, never change which
-   thread is selected), which is what lets revisits-with-refinement
-   converge to an order-independent fixpoint: the reached state set is
-   the same whatever order arrivals are processed in — the property
-   [count_states]'s exact parity across pool sizes rests on.  A selected
-   set whose every transition is slept simply expands to nothing, which
-   is sound: each slept transition is explored from a sibling branch by
-   sleep-set coverage. *)
+(* Persistent-set selection: if some thread's enabled transitions are
+   all [local] (accesses to locations no other thread touches) or its
+   start, that thread's transitions alone form a persistent set.  The
+   selection is a pure function of the state, so a state expands the
+   same transitions whichever worker reaches it, and every schedule
+   reaches the same states.  Sound for systems whose thread states
+   offer at most one step each; DESIGN.md §6.2 gives the argument,
+   which also shows that testing every enabled transition of every
+   expanded state for a race decides DRF. *)
 let persistent_select local succs =
   let is_local a = match a with Action.Start _ -> true | _ -> local a in
   let rec tids_of acc = function
@@ -456,6 +428,51 @@ let persistent_select local succs =
   match List.find_opt candidate (tids_of [] succs) with
   | Some tid -> List.filter (fun ((t, _), _) -> Thread_id.equal t tid) succs
   | None -> succs
+
+(* The race test of one edge: [tid]'s step [a] against [labels], the
+   next steps the threads offer in the edge's target.  Returns the first
+   step of another thread that conflicts with [a]. *)
+let racing vol (tid, a) labels =
+  List.find_opt
+    (fun (tid', b) ->
+      (not (Thread_id.equal tid tid')) && Action.conflicting vol a b)
+    labels
+
+(* The next steps in the target of [tid]'s step [a] from [st], read off
+   the source, where the threads offer [steps] and [labels] label the
+   enabled transitions: a thread that does not move offers the same
+   steps in the target.  Only its reads and RMWs of a location [a]
+   writes with a new value can change (a traceset thread may decline
+   one value and take another), so those are re-run against the written
+   value.  The labels of [tid] itself are left stale: the race test
+   ignores them. *)
+let target_labels st steps labels (tid, a) =
+  match a with
+  | (Action.Write (l, w) | Action.Rmw (l, _, w))
+    when not (Value.equal w (read_value st l)) ->
+      let reads_l (_, b) =
+        match b with
+        | Action.Read (l', _) | Action.Rmw (l', _, _) -> Location.equal l l'
+        | _ -> false
+      in
+      let out = ref (List.filter (fun x -> not (reads_l x)) labels) in
+      Array.iteri
+        (fun t thread_steps ->
+          if not (Thread_id.equal t tid) then
+            List.iter
+              (function
+                | System.Read (l', k) when Location.equal l l' ->
+                    if Option.is_some (k w) then
+                      out := (t, Action.Read (l, w)) :: !out
+                | System.Rmw (l', k) when Location.equal l l' ->
+                    List.iter
+                      (fun (w', _) -> out := (t, Action.Rmw (l, w, w')) :: !out)
+                      (k w)
+                | _ -> ())
+              thread_steps)
+        steps;
+      !out
+  | _ -> labels
 
 (* ------------------------------------------------------------------ *)
 (* The engine: one discovery loop, one fold                            *)
@@ -477,60 +494,30 @@ let persistent_select local succs =
    tables, and idle workers steal oldest-first.  An exception raised by
    an expansion or by [on_revisit] (a witness search's [Found]) aborts
    every worker and surfaces from [discover]: that is how searches exit
-   early.  [on_revisit] sees each edge whose target this arrival does
-   not expand — a state reached before; the edge a state is expanded by
-   is its own (a witness search keeps it in the state).
+   early.  [on_revisit] sees each edge whose target was reached before;
+   the edge a state is expanded by is its own (a witness search keeps
+   it in the state).
 
-   The optional reduction is persistent-set selection plus sleep sets.
-   Each work item carries its own sleep set (source-set style), so the
-   loop prunes exactly as hard at any pool size.  The table's per-state
-   meta holds the state's current sleep set, a version counter, and the
-   packed edges of its latest accepted expansion:
+   The optional reduction [select] keeps a persistent subset of each
+   expansion.  It is a pure function of the state, and each state is
+   expanded once, by the worker that interns it, so the reached states
+   and the [edges] and [por_cuts] counters are the same at every pool
+   size.
 
-   - An arrival whose sleep set is subsumed by the stored one is
-     dropped: everything it would explore is already covered.
-   - Otherwise the stored sleep set is refined to the intersection
-     (strictly smaller), the version is bumped, and the arrival is
-     (re-)expanded under the refined set.  Refinement is a locked
-     read-modify-write ({!Par.Ptbl.update}), so concurrent arrivals
-     serialise per state.
-   - An expansion writes its edges back guarded by its version
-     ({!Par.Ptbl.sync}): only the expansion of the {e latest} version
-     publishes, so the final graph is the one expanded under each
-     state's final (smallest) sleep set.
-
-   Order-independence: per state, the sleep set only ever shrinks
-   (a meet-semilattice descent, which terminates), selection is a pure
-   function of the state, and a smaller sleep set only adds children —
-   so the set of (state, final sleep) pairs is the least fixpoint of a
-   monotone operator and independent of arrival order and worker
-   count.  The reached state set — hence [count_states] — is therefore
-   {e exactly} equal at every pool size.  Re-expansions can revisit
-   edges, so under reduction [edges]/[por_cuts] depend on the schedule
-   (never under plain enumeration, where sleep sets are all empty and
-   every state expands exactly once).
-
-   Edges are packed: a state's accepted expansion is one unboxed
-   [int array] of (target id, label id) pairs.  Labels are interned per
-   worker without locks — worker [w] of [nw] numbers its labels [w],
-   [w + nw], [w + 2nw], ... — so ids are unique across the pool, and
-   the fold maps each one back through the workers' tables.  A witness
-   search needs no graph ([~graph:false]): it records no edges at all.
+   Edges are packed: a state's expansion is one unboxed [int array] of
+   (target id, label id) pairs, stored in the state's table entry by
+   the worker that expanded it and read only after the pool has joined.
+   Labels are interned per worker without locks — worker [w] of [nw]
+   numbers its labels [w], [w + nw], [w + 2nw], ... — so ids are unique
+   across the pool, and the fold maps each one back through the
+   workers' tables.  A witness search needs no graph ([~graph:false]):
+   it records no edges at all.
 
    Each item also carries its depth (the root is 1), and
    [peak_frontier] is the deepest item expanded: at pool size 1 the
    depth of the depth-first search. *)
 
-type ('st, 'lbl) reduction = {
-  select : ('lbl * 'st) list -> ('lbl * 'st) list;  (** persistent set *)
-  independent : 'lbl -> 'lbl -> bool;
-}
-
-type 'lbl meta = {
-  mutable psleep : 'lbl list;  (** current (smallest) sleep set *)
-  mutable pversion : int;  (** bumped on every refinement *)
-  mutable pedges : int array;  (** latest accepted expansion, packed *)
-}
+type meta = { mutable pedges : int array  (** the expansion, packed *) }
 
 type 'lbl discovered = {
   root : int;
@@ -538,9 +525,6 @@ type 'lbl discovered = {
   labels : ('lbl, int) Hashtbl.t array;  (** per-worker label ids *)
   shared : bool;  (** discovered by a pool of several workers *)
 }
-
-let sleep_subset s1 s2 = List.for_all (fun l -> List.mem l s2) s1
-let sleep_inter s1 s2 = List.filter (fun l -> List.mem l s2) s1
 
 (* Per-worker scheduler hooks.  The [par.*] metrics, like the
    [explore.discover]/[explore.fold] spans, are recorded only for pools
@@ -564,13 +548,13 @@ let ws_hooks ~shared (s : stats) =
   else (wait, steal, None)
 
 let discover (type st lbl) ~pool ~max_states ~(stats : stats) ?(graph = true)
-    ?(arena_words = fun () -> 0) ?(reduction : (st, lbl) reduction option)
+    ?(arena_words = fun () -> 0) ?select
     ?(on_revisit : lbl -> st -> int -> unit = fun _ _ _ -> ())
     ~(digest : st -> int array) ~(expand : int -> st -> (lbl * st) list)
     (root : st) : lbl discovered =
   let nw = Par.Pool.size pool in
   let shared = nw > 1 in
-  let dummy = { psleep = []; pversion = 0; pedges = [||] } in
+  let dummy = { pedges = [||] } in
   let tbl =
     if shared then Par.Ptbl.create ~dummy ()
     else Par.Ptbl.create_local ~dummy ()
@@ -585,85 +569,56 @@ let discover (type st lbl) ~pool ~max_states ~(stats : stats) ?(graph = true)
         Hashtbl.add t l i;
         i
   in
-  let reduce = Option.is_some reduction in
-  (* Intern [st] arriving with [sleep]; decide expansion vs drop under
-     the stripe lock.  [update]'s function must not raise, so the budget
-     check happens on the returned freshness outside the lock. *)
-  let arrive st sleep depth =
-    let d = digest st in
+  (* Intern [st]; the first arrival gets the work item that expands it. *)
+  let arrive st depth =
     match
-      Par.Ptbl.update tbl d (function
+      Par.Ptbl.update tbl (digest st) (function
         | None ->
-            let m = { psleep = sleep; pversion = 0; pedges = [||] } in
-            (m, Some (m, 0, sleep, true))
-        | Some m when reduce && not (sleep_subset m.psleep sleep) ->
-            m.psleep <- sleep_inter m.psleep sleep;
-            m.pversion <- m.pversion + 1;
-            (m, Some (m, m.pversion, m.psleep, false))
+            let m = { pedges = [||] } in
+            (m, Some m)
         | Some m -> (m, None))
     with
-    | id, Some (m, version, sleep, fresh) ->
-        (id, Some ((id, st, d, m, version, sleep, depth), fresh))
+    | id, Some m -> (id, Some (id, st, m, depth))
     | id, None -> (id, None)
   in
   let total = Atomic.make 0 in
-  let budget (s : stats) fresh =
-    if fresh then begin
-      s.states <- s.states + 1;
-      let n = Atomic.fetch_and_add total 1 + 1 in
-      if n > max_states then raise (Too_many_states n)
-    end
+  let budget (s : stats) =
+    s.states <- s.states + 1;
+    let n = Atomic.fetch_and_add total 1 + 1 in
+    if n > max_states then raise (Too_many_states n)
   in
-  let process w (s : stats) (id, st, d, m, version, sleep, depth) push =
+  let process w (s : stats) (id, st, m, depth) push =
     if depth > s.peak_frontier then s.peak_frontier <- depth;
     let succs = expand id st in
     let selected =
-      match reduction with Some r -> r.select succs | None -> succs
+      match select with
+      | Some select ->
+          let selected = select succs in
+          s.por_cuts <-
+            s.por_cuts + (List.length succs - List.length selected);
+          selected
+      | None -> succs
     in
-    if reduce then
-      s.por_cuts <- s.por_cuts + (List.length succs - List.length selected);
-    let explored = ref [] and next = ref [] in
     let edges =
       if graph then Array.make (2 * List.length selected) 0 else [||]
-    and k = ref 0 in
-    List.iter
-      (fun (l, st') ->
-        if reduce && List.mem l sleep then s.por_cuts <- s.por_cuts + 1
-        else begin
-          s.edges <- s.edges + 1;
-          let child_sleep =
-            match reduction with
-            | Some r ->
-                List.filter
-                  (fun e -> r.independent e l)
-                  (List.rev_append !explored sleep)
-            | None -> []
-          in
-          let id', arrival = arrive st' child_sleep (depth + 1) in
-          if graph then begin
-            edges.(!k) <- id';
-            edges.(!k + 1) <- label_id w l;
-            k := !k + 2
-          end;
-          (match arrival with
-          | Some (item, fresh) ->
-              budget s fresh;
-              next := item :: !next
-          | None -> on_revisit l st' id');
-          if reduce then explored := l :: !explored
-        end)
+    in
+    let next = ref [] in
+    List.iteri
+      (fun k (l, st') ->
+        s.edges <- s.edges + 1;
+        let id', item = arrive st' (depth + 1) in
+        if graph then begin
+          edges.(2 * k) <- id';
+          edges.((2 * k) + 1) <- label_id w l
+        end;
+        match item with
+        | Some item ->
+            budget s;
+            next := item :: !next
+        | None -> on_revisit l st' id')
       selected;
     List.iter push !next;
-    if graph then begin
-      let edges =
-        if !k = Array.length edges then edges else Array.sub edges 0 !k
-      in
-      (* Publish unless a refinement has already superseded this
-         expansion: the item of the latest version always publishes
-         last, under the stripe lock. *)
-      Par.Ptbl.sync tbl d (fun () ->
-          if m.pversion = version then m.pedges <- edges)
-    end
+    if graph then m.pedges <- edges
   in
   (* A lone worker is the calling domain and counts straight into the
      call's record.  A pool's workers count privately and hand their
@@ -690,12 +645,9 @@ let discover (type st lbl) ~pool ~max_states ~(stats : stats) ?(graph = true)
           stats.domains <- max stats.domains nw
         end)
       (fun () ->
-        let id, arrival = arrive root [] 1 in
-        (match arrival with
-        | Some (item, fresh) ->
-            budget wstats.(0) fresh;
-            Par.Ws.seed ws item
-        | None -> assert false);
+        let id, item = arrive root 1 in
+        budget wstats.(0);
+        Par.Ws.seed ws (Option.get item);
         Par.Pool.run pool (fun w ->
             let s = wstats.(w) in
             let on_wait, on_steal, on_peak = ws_hooks ~shared s in
@@ -769,29 +721,53 @@ let prepend_external a sub =
 (* Behaviours and state counts                                         *)
 (* ------------------------------------------------------------------ *)
 
-let sys_graph ~pool ~max_states ~stats ?local sys =
+let sys_graph ~pool ~max_states ~stats ?local ?(expand = enabled) sys =
   let ctx = make_ctx ~shared:(Par.Pool.size pool > 1) sys in
-  let reduction =
-    Option.map
-      (fun local -> { select = persistent_select local; independent })
-      local
-  in
-  discover ~pool ~max_states ~stats ~arena_words:ctx.arena_words ?reduction
+  discover ~pool ~max_states ~stats ~arena_words:ctx.arena_words
+    ?select:(Option.map persistent_select local)
     ~digest:state_digest
-    ~expand:(fun _ -> enabled ctx)
+    ~expand:(fun _ -> expand ctx)
     (initial ctx)
+
+let behaviour_fold ~stats g =
+  fold
+    ~empty:(Behaviour.Set.singleton [])
+    ~union:Behaviour.Set.union
+    ~label:(fun (_, a) -> prepend_external a)
+    ~stats g
 
 let behaviours ?(max_states = default_max_states) ?local ?stats ?jobs ?pool
     sys =
   observed "explorer.behaviours" stats @@ fun stats ->
   with_pool ?jobs ?pool @@ fun pool ->
   let stats = sink stats in
-  fold
-    ~empty:(Behaviour.Set.singleton [])
-    ~union:Behaviour.Set.union
-    ~label:(fun (_, a) -> prepend_external a)
-    ~stats
-    (sys_graph ~pool ~max_states ~stats ?local sys)
+  behaviour_fold ~stats (sys_graph ~pool ~max_states ~stats ?local sys)
+
+(* One exploration, two answers: the expansion also runs the race test
+   on every enabled transition of the state, selected or not, until one
+   races. *)
+let behaviours_and_drf ?(max_states = default_max_states) ?local ?stats ?jobs
+    ?pool vol sys =
+  observed "explorer.behaviours_drf" stats @@ fun stats ->
+  with_pool ?jobs ?pool @@ fun pool ->
+  let stats = sink stats in
+  let racy = Atomic.make false in
+  let expand ctx st =
+    let steps = offered ctx st in
+    let succs = transitions ctx st steps in
+    if not (Atomic.get racy) then begin
+      let labels = List.map fst succs in
+      if
+        List.exists
+          (fun (l, _) ->
+            Option.is_some (racing vol l (target_labels st steps labels l)))
+          succs
+      then Atomic.set racy true
+    end;
+    succs
+  in
+  let g = sys_graph ~pool ~max_states ~stats ?local ~expand sys in
+  (behaviour_fold ~stats g, not (Atomic.get racy))
 
 let count_states ?(max_states = default_max_states) ?local ?stats ?jobs ?pool
     sys =
@@ -884,11 +860,10 @@ let find_adjacent_race ?(max_states = default_max_states) ?stats ?jobs ?pool
     match path with
     | [] -> ()
     | { Interleaving.tid; action = a } :: _ ->
-        List.iter
+        Option.iter
           (fun (tid', b) ->
-            if (not (Thread_id.equal tid tid')) && Action.conflicting vol a b
-            then raise (Found (List.rev (Interleaving.pair tid' b :: path))))
-          labels
+            raise (Found (List.rev (Interleaving.pair tid' b :: path))))
+          (racing vol (tid, a) labels)
   in
   let expand id w =
     let succs = enabled ctx w.at in

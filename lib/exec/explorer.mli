@@ -15,12 +15,11 @@
       in unboxed arenas ({!Par.Ptbl}), and each state's edges are one
       unboxed [int array] of (target, label) id pairs.
 
-    - {b Sleep-set partial-order reduction.}  When a [local] predicate
-      is supplied, exploration combines persistent-set selection with
-      Godefroid-style sleep sets over an independence relation derived
-      from {!Action.conflicting} (plus monitor and external-action
-      dependence).  Reduced and unreduced behaviour sets coincide; see
-      DESIGN.md for the soundness argument.
+    - {b Persistent-set partial-order reduction.}  When a [local]
+      predicate is supplied, a state where one thread's enabled
+      transitions are all local expands that thread's transitions
+      alone.  Reduced and unreduced behaviour sets and DRF verdicts
+      coincide; DESIGN.md §6.2 gives the argument.
 
     - {b Work stealing at any pool size.}  The loop runs on the
       {!Par.Ws} scheduler; see {e Pool size} below.
@@ -120,16 +119,6 @@ val batch_map :
     [stats.domains] to the pool size and, while [Metrics.enabled ()],
     records it into the [explorer.domains] gauge. *)
 
-(** {1 Independence} *)
-
-val independent : Thread_id.t * Action.t -> Thread_id.t * Action.t -> bool
-(** The static independence relation underlying the reduction: two
-    transitions commute iff they belong to different threads, their
-    actions do not conflict as memory accesses (volatility is irrelevant
-    for commutation), they do not touch the same monitor, and they are
-    not both external (the order of external actions is the observable
-    behaviour). *)
-
 (** {1 Exhaustive analyses over thread systems}
 
     {2 Pool size}
@@ -147,19 +136,13 @@ val independent : Thread_id.t * Action.t -> Thread_id.t * Action.t -> bool
     Larger pools discover the state graph across per-worker
     work-stealing deques ({!Par.Ws}: own deque LIFO, steals FIFO;
     dedupe through the striped packed digest table {!Par.Ptbl}), then
-    fold results over the discovered graph.  The full reduction holds
-    at every size: persistent-set selection is a pure per-state
-    decision, and sleep sets travel {e inside} each work item, with
-    per-state refinement (intersection + re-expansion) in the digest
-    table's meta slots converging to an order-independent fixpoint.
-    {b Results are identical} at every pool size: same behaviour sets,
-    same state counts — [count_states] is exact, with or without
-    [local] — same DRF verdicts, same [Cyclic] /
-    [Too_many_states] outcomes.  Only witness {e choice} may differ
-    where several witnesses exist, and under reduction the
-    [edges]/[por_cuts] {e work} counters depend on the schedule
-    (sleep-set refinements re-expand a state; the state and result sets
-    are unaffected). *)
+    fold results over the discovered graph.  The reduction holds at
+    every size: persistent-set selection is a pure per-state decision,
+    and each state is expanded once.  {b Results are identical} at
+    every pool size: same behaviour sets, same DRF verdicts, same
+    [Cyclic] / [Too_many_states] outcomes, and the same [states],
+    [edges] and [por_cuts] counts, with or without [local].  Only
+    witness {e choice} may differ where several witnesses exist. *)
 
 val behaviours :
   ?max_states:int ->
@@ -171,11 +154,13 @@ val behaviours :
   Behaviour.Set.t
 (** The set of behaviours of all executions.  Prefix-closed.
 
-    [local] enables the reduction (persistent sets and sleep sets); it
-    must return [true] only for actions that are invisible (not
-    external) and independent of every other thread — accesses to
-    locations touched by a single thread.  The behaviour set is
-    identical with and without [local], and at every pool size. *)
+    [local] enables the persistent-set reduction.  It must return
+    [true] only for accesses to locations no other thread touches, and
+    the system's thread states must offer at most one step each, as
+    the language's do (an explicit traceset may offer a local write
+    next to a lock it cannot take yet, and the reduction would lose the
+    lock branch).  The behaviour set is identical with and without
+    [local], and at every pool size. *)
 
 val count_states :
   ?max_states:int ->
@@ -187,9 +172,26 @@ val count_states :
   int
 (** Number of distinct scheduler states explored; [local] as in
     {!behaviours} (the reduced count can be much smaller).  The count
-    is the same at every pool size, with or without [local]: work items
-    carry their own sleep sets, so every schedule prunes exactly as
-    hard. *)
+    is the same at every pool size, with or without [local]. *)
+
+val behaviours_and_drf :
+  ?max_states:int ->
+  ?local:(Action.t -> bool) ->
+  ?stats:stats ->
+  ?jobs:int ->
+  ?pool:Par.Pool.t ->
+  Location.Volatile.t ->
+  'ts System.t ->
+  Behaviour.Set.t * bool
+(** [(behaviours sys, is_drf vol sys)] from one exploration, reduced
+    when [local] is given (as in {!behaviours}).  At each expanded
+    state, every enabled transition, selected or not, goes through the
+    race test {!find_adjacent_race} applies to an edge, against the
+    other threads' next steps in its successor.  Those steps are read
+    off the source state; only a read or RMW of the location the
+    transition writes is re-run against the written value.  No witness
+    is kept: ask {!find_adjacent_race} for one once the verdict is
+    racy. *)
 
 val maximal_executions_seq :
   ?max_steps:int -> ?stats:stats -> 'ts System.t -> Interleaving.t Seq.t
@@ -214,10 +216,11 @@ val find_adjacent_race :
   'ts System.t ->
   Interleaving.t option
 (** A witness execution whose last two actions are adjacent conflicting
-    accesses by different threads, if one exists.  Every edge is checked
-    against its target's enabled set, computed once per state and shared
-    between the state's expansion and the checks on its incoming edges;
-    the search stops at the first race.  The verdict is the same at
+    accesses by different threads, if one exists.  The search is
+    unreduced.  Every edge is checked against its target's enabled set,
+    computed once per state and shared between the state's expansion
+    and the checks on its incoming edges; the search stops at the first
+    race.  The verdict is the same at
     every pool size; the particular witness may differ between sizes
     and, above size 1, between runs (any adjacent race is a valid
     witness). *)

@@ -471,11 +471,11 @@ end
    no per-state boxed key, no hash-bucket cons cells, no rehash of
    stored keys on resize (slots store arena offsets; the digest words
    never move within a stripe's arena).  Each entry owns one ['a] meta
-   slot for engine bookkeeping (sleep sets, edge lists), read-modified
-   under the stripe lock.  Global ids are drawn from one atomic
-   counter, so they are dense in [0, length) and usable as array
-   indices; their numeric order varies between runs and they are only
-   ever compared for equality. *)
+   slot for engine bookkeeping (edge lists), created under the stripe
+   lock.  Global ids are drawn from one atomic counter, so they are
+   dense in [0, length) and usable as array indices; their numeric
+   order varies between runs and they are only ever compared for
+   equality. *)
 
 module Ptbl = struct
   type 'a stripe = {
@@ -646,18 +646,6 @@ module Ptbl = struct
      hash-consed ids with no per-entry bookkeeping. *)
   let intern (t : unit t) d =
     fst (update t d (function Some () -> ((), false) | None -> ((), true)))
-
-  (* Run [f] under the stripe lock of digest [d] without probing —
-     for publishing updates to a meta record obtained earlier. *)
-  let sync t (d : int array) f =
-    if not t.locked then f ()
-    else begin
-      let st = t.tab.(Ikey.hash d land t.mask) in
-      Mutex.lock st.mu;
-      let r = try f () with exn -> Mutex.unlock st.mu; raise exn in
-      Mutex.unlock st.mu;
-      r
-    end
 
   (* Sequential iteration over every entry (id, meta).  Call only after
      all workers have joined: no locks are taken. *)

@@ -199,12 +199,6 @@ module Ptbl : sig
       stored one).  Returns [d]'s id and [f]'s second component.
       [f] must be small and must not re-enter the table. *)
 
-  val sync : 'a t -> Ikey.t -> (unit -> 'r) -> 'r
-  (** [sync t d f]: run [f] under the stripe lock of digest [d]
-      without probing — for publishing mutations of a meta record
-      obtained from an earlier {!update}.  Lock-free tables
-      ({!create_local}) run [f] directly. *)
-
   val intern : unit t -> Ikey.t -> int
   (** Plain hash-consing for tables with no per-entry bookkeeping. *)
 

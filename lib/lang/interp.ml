@@ -15,6 +15,11 @@ let find_race ?fuel ?max_states ?stats ?jobs ?pool p =
 let is_drf ?fuel ?max_states ?stats ?jobs ?pool p =
   Option.is_none (find_race ?fuel ?max_states ?stats ?jobs ?pool p)
 
+let behaviours_and_drf ?fuel ?max_states ?stats ?jobs ?pool p =
+  Explorer.behaviours_and_drf ?max_states
+    ~local:(Thread_system.local_actions p) ?stats ?jobs ?pool p.Ast.volatile
+    (Thread_system.make ?fuel p)
+
 let maximal_executions ?fuel ?max_steps ?stats p =
   Explorer.maximal_executions ?max_steps ?stats (Thread_system.make ?fuel p)
 

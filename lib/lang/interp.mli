@@ -49,6 +49,19 @@ val find_race :
     existence verdict matches the sequential search; the particular
     witness may differ. *)
 
+val behaviours_and_drf :
+  ?fuel:int ->
+  ?max_states:int ->
+  ?stats:Explorer.stats ->
+  ?jobs:int ->
+  ?pool:Par.Pool.t ->
+  Ast.program ->
+  Behaviour.Set.t * bool
+(** [(behaviours p, is_drf p)] from one exploration, reduced by
+    {!Thread_system.local_actions}: the two questions the DRF guarantee
+    asks of a program under SC.  No witness is kept; {!find_race} gives
+    one.  Both answers are identical at every pool size. *)
+
 val maximal_executions :
   ?fuel:int -> ?max_steps:int -> ?stats:Explorer.stats -> Ast.program ->
   Interleaving.t list

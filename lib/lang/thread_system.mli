@@ -18,6 +18,6 @@ val has_loop : Ast.program -> bool
 
 val local_actions : Ast.program -> Safeopt_trace.Action.t -> bool
 (** The partial-order-reduction predicate for {!Safeopt_exec.Explorer}:
-    true for reads and writes of locations that, syntactically, only a
-    single thread of the program accesses (such actions are invisible
-    and independent of every other thread). *)
+    true for accesses to locations that, syntactically, only a single
+    thread of the program accesses (such actions are invisible,
+    commute with every other thread's steps and never race). *)

@@ -45,8 +45,13 @@ let check ?fuel ?max_states ?stats ?(model = Model.Sc) t =
        [cannot] expectations are SC expectations, so checking a weak
        model deliberately surfaces the relaxations: [sb] under TSO
        reports the SC-forbidden [0; 0] as a failure. *)
-    let drf_actual = Interp.is_drf ?fuel ?max_states ?stats p in
-    let behaviours = Model.behaviours ?fuel ?max_states ?stats model p in
+    let behaviours, drf_actual =
+      match model with
+      | Model.Sc -> Interp.behaviours_and_drf ?fuel ?max_states ?stats p
+      | Model.Tso | Model.Pso ->
+          ( Model.behaviours ?fuel ?max_states ?stats model p,
+            Interp.is_drf ?fuel ?max_states ?stats p )
+    in
     let failures = ref [] in
     let fail fmt = Fmt.kstr (fun s -> failures := s :: !failures) fmt in
     if drf_actual <> t.drf then

@@ -71,6 +71,14 @@ let find_race_fast ?fuel ?max_states ?stats ?jobs ?pool p =
   if Safeopt_analysis.Static_race.certified_drf p then None
   else Interp.find_race ?fuel ?max_states ?stats ?jobs ?pool p
 
+(* The two SC questions of one program, its behaviours and whether it
+   is DRF, from one reduced exploration; a program with a static
+   certificate only needs its behaviours. *)
+let sc_questions ?fuel ?max_states ?stats ?jobs ?pool p =
+  if Safeopt_analysis.Static_race.certified_drf p then
+    (Interp.behaviours ?fuel ?max_states ~por:true ?stats ?jobs ?pool p, true)
+  else Interp.behaviours_and_drf ?fuel ?max_states ?stats ?jobs ?pool p
+
 let validate_with ?fuel ?max_states ?stats ?jobs ?pool
     ?(model = Model.Sc) ~relation ~relation_check ~original ~transformed () =
   (* one span per differential validation; its children are the
@@ -99,25 +107,51 @@ let validate_with ?fuel ?max_states ?stats ?jobs ?pool
     r
   in
   match
-    let b_orig =
-      Model.behaviours ?fuel ?max_states ?stats ?jobs ?pool model original
-    in
-    let b_trans =
-      Model.behaviours ?fuel ?max_states ?stats ?jobs ?pool model transformed
+    let b_orig, original_drf, b_trans, transformed_drf, race_witness =
+      match model with
+      | Model.Sc ->
+          let b_orig, original_drf =
+            sc_questions ?fuel ?max_states ?stats ?jobs ?pool original
+          in
+          let b_trans, transformed_drf =
+            sc_questions ?fuel ?max_states ?stats ?jobs ?pool transformed
+          in
+          (* the witness search runs only on a program already found racy *)
+          let race_witness =
+            if transformed_drf then None
+            else
+              Interp.find_race ?fuel ?max_states ?stats ?jobs ?pool
+                transformed
+          in
+          (b_orig, original_drf, b_trans, transformed_drf, race_witness)
+      | Model.Tso | Model.Pso ->
+          let behaviours =
+            Model.behaviours ?fuel ?max_states ?stats ?jobs ?pool model
+          in
+          let b_orig = behaviours original in
+          let b_trans = behaviours transformed in
+          (* The DRF legs are SC questions under every model: data races
+             are a property of the language semantics, and the DRF
+             guarantee is what ports SC verdicts to the hardware
+             models. *)
+          let original_drf =
+            drf_fast ?fuel ?max_states ?stats ?jobs ?pool original
+          in
+          let race_witness =
+            find_race_fast ?fuel ?max_states ?stats ?jobs ?pool transformed
+          in
+          ( b_orig,
+            original_drf,
+            b_trans,
+            Option.is_none race_witness,
+            race_witness )
     in
     let new_behaviour = Safeopt_core.Safety.behaviour_subset b_trans b_orig in
-    (* The DRF legs are SC questions under every model: data races are
-       a property of the language semantics, and the DRF guarantee is
-       what ports SC verdicts to the hardware models. *)
-    let original_drf = drf_fast ?fuel ?max_states ?stats ?jobs ?pool original in
-    let race_witness =
-      find_race_fast ?fuel ?max_states ?stats ?jobs ?pool transformed
-    in
     let relation_holds, relation_counterexample = relation_check () in
     {
       model;
       original_drf;
-      transformed_drf = Option.is_none race_witness;
+      transformed_drf;
       new_behaviour;
       race_witness;
       relation;
@@ -416,25 +450,31 @@ let validate_chain ?fuel ?max_states ?stats ?jobs ?pool programs =
   match programs with
   | [] -> invalid_arg "Validate.validate_chain: empty chain"
   | _ ->
-      (* Enumerate each program's behaviours and race witness exactly
-         once: a middle program is the transformed side of one pair and
-         the original side of the next, and the end-to-end report reuses
-         the first and last programs' results.  The per-program
-         enumerations are independent, so they shard across the pool. *)
+      (* Explore each program exactly once: a middle program is the
+         transformed side of one pair and the original side of the next,
+         and the end-to-end report reuses the first and last programs'
+         results.  The per-program explorations are independent, so
+         they shard across the pool.  A race witness is searched for
+         only when a racy program is some report's transformed side. *)
       let data =
         Explorer.batch_map ?stats ?jobs ?pool
           (fun p ->
-            ( Interp.behaviours ?fuel ?max_states ~por:true ?stats p,
-              find_race_fast ?fuel ?max_states ?stats p ))
+            let b, drf = sc_questions ?fuel ?max_states ?stats p in
+            let race =
+              lazy
+                (if drf then None
+                 else Interp.find_race ?fuel ?max_states ?stats p)
+            in
+            (b, drf, race))
           programs
       in
-      let report_of (b_orig, race_orig) (b_trans, race_trans) =
+      let report_of (b_orig, drf_orig, _) (b_trans, drf_trans, race_trans) =
         {
           model = Model.Sc;
-          original_drf = Option.is_none race_orig;
-          transformed_drf = Option.is_none race_trans;
+          original_drf = drf_orig;
+          transformed_drf = drf_trans;
           new_behaviour = Safeopt_core.Safety.behaviour_subset b_trans b_orig;
-          race_witness = race_trans;
+          race_witness = Lazy.force race_trans;
           relation = Unchecked;
           relation_holds = None;
           relation_counterexample = None;

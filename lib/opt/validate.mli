@@ -83,8 +83,12 @@ val validate :
     Both DRF questions first try the static lockset certificate
     ({!Safeopt_analysis.Static_race.certified_drf}); only when the
     analysis reports potential races does the exhaustive interleaving
-    enumeration run.  [jobs]/[pool] parallelise those enumerations at
-    the state-space level; the report is unchanged. *)
+    enumeration run.  Under [Sc] one reduced exploration per program
+    answers both of its questions
+    ({!Safeopt_lang.Interp.behaviours_and_drf}), and the race witness
+    search ({!Safeopt_lang.Interp.find_race}) runs only when the
+    transformed program is racy.  [jobs]/[pool] parallelise those
+    enumerations at the state-space level; the report is unchanged. *)
 
 val drf_fast :
   ?fuel:int ->
@@ -247,9 +251,11 @@ val validate_chain :
   Ast.program list ->
   chain_report
 (** Validate a chain of at least one program ([relation = Unchecked]
-    per pair).  Each program's behaviours and race witness are computed
-    once and shared between the pairwise and end-to-end reports; under
-    [jobs]/[pool] the per-program enumerations shard across domains.
+    per pair) under SC.  Each program is explored once, for its
+    behaviours and its DRF verdict, and the results are shared between
+    the pairwise and end-to-end reports; a race witness is searched for
+    only when a racy program is some report's transformed side.  Under
+    [jobs]/[pool] the per-program explorations shard across domains.
     @raise Invalid_argument on an empty chain. *)
 
 val validate_semantic :

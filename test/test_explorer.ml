@@ -1,7 +1,7 @@
 (* The unified exploration engine — the repository's single exploration
    entry point: core engine semantics over explicit tracesets
    (behaviours, executions, locks, deadlock, sampling, budgets), stats
-   consistency, sleep-set POR soundness over the litmus corpus, and
+   consistency, POR soundness over the litmus corpus, and
    streaming early exit. *)
 
 open Safeopt_trace
@@ -239,7 +239,7 @@ let test_corpus_state_totals () =
       0 (corpus_programs ())
   in
   Alcotest.(check int) "unreduced states over the corpus" 5126 (total false);
-  Alcotest.(check int) "reduced states over the corpus" 4612 (total true)
+  Alcotest.(check int) "reduced states over the corpus" 4613 (total true)
 
 (* The acceptance criterion: reduced and unreduced behaviour sets
    coincide on the entire corpus. *)

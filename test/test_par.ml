@@ -188,9 +188,10 @@ let qcheck_parallel_equiv =
          Behaviour.Set.equal (Interp.behaviours p) (Interp.behaviours ~pool p)))
 
 (* The headline parity property of the work-stealing engine: behaviour
-   sets AND state counts are identical across jobs ∈ {1, 2, 4}, with
-   and without the reduction (parallel work items carry their own sleep
-   sets, so POR prunes identically at any worker count).  The generated
+   sets, state counts and the [edges] and [por_cuts] work counters are
+   identical across jobs ∈ {1, 2, 4}, with and without the reduction
+   (persistent-set selection is a pure function of the state, and each
+   state is expanded once, whichever worker reaches it).  The generated
    programs include Atomic/RMW threads (see Generators.simple_stmt). *)
 let qcheck_jobs_parity =
   QCheck_alcotest.to_alcotest ~rand:(rand ())
@@ -199,13 +200,20 @@ let qcheck_jobs_parity =
          "count_states and behaviours identical across jobs {1,2,4} (300 \
           random programs, POR on and off)"
        ~count:300 ~print:Generators.print_program Generators.program (fun p ->
+         let run por pool =
+           let s = Explorer.create_stats () in
+           let b = Interp.behaviours ~por ~stats:s ?pool p in
+           ( b,
+             Interp.count_states ~por ?pool p,
+             s.Explorer.edges,
+             s.Explorer.por_cuts )
+         in
          let parity por =
-           let b1 = Interp.behaviours ~por p in
-           let c1 = Interp.count_states ~por p in
+           let b1, c1, e1, k1 = run por None in
            List.for_all
              (fun pl ->
-               Behaviour.Set.equal b1 (Interp.behaviours ~por ~pool:pl p)
-               && c1 = Interp.count_states ~por ~pool:pl p)
+               let b, c, e, k = run por (Some pl) in
+               Behaviour.Set.equal b1 b && c1 = c && e1 = e && k1 = k)
              [ pool2; pool ]
          in
          parity false && parity true))

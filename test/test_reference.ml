@@ -1,0 +1,131 @@
+(* The exploration that answers both SC questions at once
+   ([behaviours_and_drf]) against the naive reference enumerator
+   ([Reference]) and against the unreduced searches: behaviour sets and
+   DRF verdicts are equal at jobs 1, 2 and 4, on generated programs
+   (before and after a random registry pass), on the litmus corpus, and
+   on generated explicit tracesets, whose threads decline read values
+   and offer several steps at once. *)
+
+open Safeopt_trace
+open Safeopt_exec
+open Safeopt_lang
+open Safeopt_gen
+open Safeopt_litmus
+module Pass = Safeopt_opt.Pass
+module Pipeline = Safeopt_opt.Pipeline
+
+let pools =
+  [ (1, None); (2, Some (Par.Pool.create 2)); (4, Some (Par.Pool.create 4)) ]
+
+(* The first answer that differs from the reference, if any.
+   [shared ?pool ()] is the exploration under test at one pool size;
+   [unreduced ()] the engine's unreduced behaviours, DRF verdict and
+   state count. *)
+let first_disagreement ~vol sys ~shared ~unreduced =
+  let bs_u, drf_u, states_u = unreduced () in
+  let bs, states = Reference.behaviours sys in
+  let bs = Behaviour.Set.of_list bs in
+  let drf = Reference.is_drf vol sys in
+  let checks =
+    [
+      ("unreduced behaviours", Behaviour.Set.equal bs bs_u);
+      ("unreduced DRF verdict", drf = drf_u);
+      ("unreduced state count", states = states_u);
+    ]
+    @ List.concat_map
+        (fun (jobs, pool) ->
+          let bs', drf' = shared ?pool () in
+          [
+            ( Printf.sprintf "shared behaviours at jobs %d" jobs,
+              Behaviour.Set.equal bs bs' );
+            (Printf.sprintf "shared DRF verdict at jobs %d" jobs, drf = drf');
+          ])
+        pools
+  in
+  List.find_map (fun (what, ok) -> if ok then None else Some what) checks
+
+let unreduced behaviours is_drf () =
+  let s = Explorer.create_stats () in
+  let bs = behaviours s in
+  (bs, is_drf (), s.Explorer.states)
+
+let program_disagreement p =
+  first_disagreement ~vol:p.Ast.volatile (Thread_system.make p)
+    ~shared:(fun ?pool () -> Interp.behaviours_and_drf ?pool p)
+    ~unreduced:
+      (unreduced
+         (fun stats -> Interp.behaviours ~stats p)
+         (fun () -> Interp.is_drf p))
+
+let traceset_disagreement (ts, vol) =
+  let sys = Traceset_system.make ts in
+  first_disagreement ~vol sys
+    ~shared:(fun ?pool () -> Explorer.behaviours_and_drf ?pool vol sys)
+    ~unreduced:
+      (unreduced
+         (fun stats -> Explorer.behaviours ~stats sys)
+         (fun () -> Explorer.is_drf vol sys))
+
+let rand () = Random.State.make [| 0x5afe2; 21 |]
+
+let property ~name ~count ~print gen disagreement =
+  QCheck_alcotest.to_alcotest ~rand:(rand ())
+    (QCheck2.Test.make ~name ~count ~print gen (fun case ->
+         match disagreement case with
+         | None -> true
+         | Some what -> QCheck2.Test.fail_reportf "%s differs" what))
+
+let programs_agree =
+  property ~name:"programs and their registry rewrites (3000 draws)"
+    ~count:3000
+    ~print:(fun (p, (pass : Pass.t)) ->
+      Fmt.str "pass %s on@.%s" pass.Pass.name (Generators.print_program p))
+    QCheck2.Gen.(pair Generators.program (oneofl Pipeline.registry))
+    (fun (p, pass) ->
+      match program_disagreement p with
+      | Some what -> Some ("original: " ^ what)
+      | None ->
+          Option.map
+            (fun what -> "rewritten: " ^ what)
+            (program_disagreement (pass.Pass.run p).Pass.program))
+
+(* Two or three threads, each the prefix closure of up to three
+   generated traces. *)
+let traceset_case =
+  let open QCheck2.Gen in
+  let* n = int_range 2 3 in
+  let* threads = list_repeat n (list_size (int_range 1 3) Generators.trace) in
+  let* volatile = bool in
+  let traces =
+    List.concat
+      (List.mapi
+         (fun tid ts -> List.map (fun t -> Action.Start tid :: List.tl t) ts)
+         threads)
+  in
+  return
+    ( Traceset.of_list traces,
+      if volatile then Helpers.vol_v else Location.Volatile.none )
+
+let tracesets_agree =
+  property ~name:"explicit tracesets (1000 draws)" ~count:1000
+    ~print:(fun (ts, _) -> Fmt.str "%a" Traceset.pp ts)
+    traceset_case traceset_disagreement
+
+let test_corpus () =
+  List.iter
+    (fun (t : Litmus.t) ->
+      Option.iter
+        (fun what -> Alcotest.failf "%s: %s differs" t.Litmus.name what)
+        (program_disagreement (Litmus.program t)))
+    Corpus.all
+
+let () =
+  Alcotest.run "reference"
+    [
+      ( "agreement",
+        [
+          Alcotest.test_case "litmus corpus" `Slow test_corpus;
+          programs_agree;
+          tracesets_agree;
+        ] );
+    ]
