@@ -14,6 +14,11 @@ module Model = Safeopt_model.Memory_model
 
 let vol0 = Location.Volatile.none
 
+(* A program's thread system with no local action: the explorer then
+   searches the full state graph, the unreduced side of the POR rows
+   and of the refine sweep's budget claim. *)
+let full p = { (Thread_system.make p) with System.local = (fun _ -> false) }
+
 let hr fmt =
   Fmt.pr "@.=== %s ===@." (Fmt.str fmt)
 
@@ -470,7 +475,7 @@ let p1 () =
   List.iter
     (fun n ->
       let p = writer_reader_program n in
-      let states = Interp.count_states p in
+      let states = Explorer.count_states (full p) in
       let bs = Behaviour.Set.cardinal (Interp.behaviours p) in
       Fmt.pr "  %-8d %-12d %-14d %-12b@." n states bs (Interp.is_drf p))
     [ 1; 2; 3; 4 ]
@@ -494,17 +499,18 @@ let p2 () =
   List.iter
     (fun (n, k) ->
       let p = private_work_program n k in
-      let full = Interp.count_states p in
-      let por = Interp.count_states ~por:true p in
-      Fmt.pr "  %dt x %d private     %-14d %-12d %.1fx@." n k full por
-        (float_of_int full /. float_of_int (max 1 por)))
+      let states = Explorer.count_states (full p) in
+      let por = Interp.count_states p in
+      Fmt.pr "  %dt x %d private     %-14d %-12d %.1fx@." n k states por
+        (float_of_int states /. float_of_int (max 1 por)))
     [ (2, 2); (2, 4); (3, 2); (3, 3) ];
   claim "POR preserves behaviours on the ablation programs" true
     (List.for_all
        (fun (n, k) ->
          let p = private_work_program n k in
-         Behaviour.Set.equal (Interp.behaviours p)
-           (Interp.behaviours ~por:true p))
+         Behaviour.Set.equal
+           (Explorer.behaviours (full p))
+           (Interp.behaviours p))
        [ (2, 2); (2, 4); (3, 2); (3, 3) ])
 
 (* ------------------------------------------------------------------ *)
@@ -581,29 +587,32 @@ let explore_bench ?(quick = false) () =
   let programs = List.map Litmus.program Corpus.all in
   let reps = if quick then 5 else 20 in
   let scale_anchor w = w *. float_of_int reps /. 20. in
-  let count_run por () =
-    let acc = ref 0 in
-    for _ = 1 to reps do
-      List.iter (fun p -> acc := !acc + Interp.count_states ~por p) programs
-    done;
-    !acc
-  in
-  let beh_run por () =
+  let count_run system () =
     let acc = ref 0 in
     for _ = 1 to reps do
       List.iter
-        (fun p ->
-          acc := !acc + Behaviour.Set.cardinal (Interp.behaviours ~por p))
+        (fun p -> acc := !acc + Explorer.count_states (system p))
         programs
     done;
     !acc
   in
+  let beh_run system () =
+    let acc = ref 0 in
+    for _ = 1 to reps do
+      List.iter
+        (fun p ->
+          acc := !acc + Behaviour.Set.cardinal (Explorer.behaviours (system p)))
+        programs
+    done;
+    !acc
+  in
+  let reduced p = Thread_system.make p in
   let experiments =
     [
-      ("count_states", time (count_run false));
-      ("count_states_por", time (count_run true));
-      ("behaviours", time (beh_run false));
-      ("behaviours_por", time (beh_run true));
+      ("count_states", time (count_run full));
+      ("count_states_por", time (count_run reduced));
+      ("behaviours", time (beh_run full));
+      ("behaviours_por", time (beh_run reduced));
     ]
   in
   (* POR soundness over the whole corpus (the acceptance criterion),
@@ -613,8 +622,8 @@ let explore_bench ?(quick = false) () =
     List.for_all
       (fun p ->
         Behaviour.Set.equal
-          (Interp.behaviours ~stats p)
-          (Interp.behaviours ~por:true ~stats p))
+          (Explorer.behaviours ~stats (full p))
+          (Interp.behaviours ~stats p))
       programs
   in
   Fmt.pr "  %-18s %-10s %-12s %-14s %s@." "experiment" "total" "wall (s)"
@@ -872,8 +881,8 @@ let parallel_bench ?(quick = false) ~jobs () =
       let states_parity =
         List.for_all
           (fun p ->
-            Interp.count_states ~por:true p
-            = Interp.count_states ~por:true ~stats:pstats ~pool p)
+            Interp.count_states p
+            = Interp.count_states ~stats:pstats ~pool p)
           all
       in
       Fmt.pr "  steals: %d, starvation waits: %d (reduced corpus pass)@."
@@ -1143,7 +1152,8 @@ let refine_bench ?(quick = false) () =
        scaling);
   let unreduced_exceeds, unreduced =
     match
-      Interp.count_states ~max_states:state_budget (redundant_read_program 8)
+      Explorer.count_states ~max_states:state_budget
+        (full (redundant_read_program 8))
     with
     | n -> (false, Printf.sprintf "%d states" n)
     | exception Explorer.Too_many_states s ->
@@ -1527,9 +1537,9 @@ let bechamel_tests () =
            let p = private_work_program n k in
            [
              t (Printf.sprintf "full_%dt_%dp" n k) (fun () ->
-                 Interp.count_states p);
+                 Explorer.count_states (full p));
              t (Printf.sprintf "por_%dt_%dp" n k) (fun () ->
-                 Interp.count_states ~por:true p);
+                 Interp.count_states p);
            ])
          [ (2, 2); (3, 2) ]);
     Test.make_grouped ~name:"infrastructure"

@@ -236,14 +236,21 @@ let setup_obs trace_out format metrics heartbeat heartbeat_out progress =
         Obs.Snapshot.stop ();
         if Obs.Tracer.enabled () then
           (* final value of every metric as trailing counter samples, so
-             the trace file is self-contained *)
+             the trace file is self-contained; the explorer's two
+             running maxima end at their maximum, whichever domain
+             recorded last *)
           List.iter
             (fun n ->
               match Obs.Metrics.(find_counter global n) with
               | Some v -> Obs.Tracer.counter n (float_of_int v)
               | None -> (
                   match Obs.Metrics.(find_gauge global n) with
-                  | Some g -> Obs.Tracer.counter n g.Obs.Metrics.g_last
+                  | Some g ->
+                      Obs.Tracer.counter n
+                        (match n with
+                        | "explorer.domains" | "explorer.peak_frontier" ->
+                            g.Obs.Metrics.g_max
+                        | _ -> g.Obs.Metrics.g_last)
                   | None -> ()))
             Obs.Metrics.(names global);
         ignore (Obs.Tracer.stop () : Obs.Event.t list);

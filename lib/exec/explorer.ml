@@ -405,16 +405,13 @@ let enabled ctx st = transitions ctx st (offered ctx st)
 (* ------------------------------------------------------------------ *)
 
 (* Persistent-set selection: if some thread's enabled transitions are
-   all [local] (accesses to locations no other thread touches) or its
-   start, that thread's transitions alone form a persistent set.  The
-   selection is a pure function of the state, so a state expands the
+   all [local], that thread's transitions alone form a persistent set.
+   The selection is a pure function of the state, so a state expands the
    same transitions whichever worker reaches it, and every schedule
-   reaches the same states.  Sound for systems whose thread states
-   offer at most one step each; DESIGN.md §6.2 gives the argument,
-   which also shows that testing every enabled transition of every
-   expanded state for a race decides DRF. *)
+   reaches the same states.  Sound for systems whose thread states offer
+   at most one step each; DESIGN.md §6.2 gives the argument, which also
+   shows that running {!race} on every expanded state decides DRF. *)
 let persistent_select local succs =
-  let is_local a = match a with Action.Start _ -> true | _ -> local a in
   let rec tids_of acc = function
     | [] -> List.rev acc
     | ((tid, _), _) :: rest ->
@@ -422,21 +419,12 @@ let persistent_select local succs =
   in
   let candidate tid =
     List.for_all
-      (fun ((t, a), _) -> (not (Thread_id.equal t tid)) || is_local a)
+      (fun ((t, a), _) -> (not (Thread_id.equal t tid)) || local a)
       succs
   in
   match List.find_opt candidate (tids_of [] succs) with
   | Some tid -> List.filter (fun ((t, _), _) -> Thread_id.equal t tid) succs
   | None -> succs
-
-(* The race test of one edge: [tid]'s step [a] against [labels], the
-   next steps the threads offer in the edge's target.  Returns the first
-   step of another thread that conflicts with [a]. *)
-let racing vol (tid, a) labels =
-  List.find_opt
-    (fun (tid', b) ->
-      (not (Thread_id.equal tid tid')) && Action.conflicting vol a b)
-    labels
 
 (* The next steps in the target of [tid]'s step [a] from [st], read off
    the source, where the threads offer [steps] and [labels] label the
@@ -474,6 +462,21 @@ let target_labels st steps labels (tid, a) =
       !out
   | _ -> labels
 
+(* The race test of a state [st] whose threads offer [steps] and whose
+   enabled transitions are [succs], selected or not: the first
+   transition [(tid, a)] with a step [(tid', b)] of another thread in
+   its target that conflicts with [a]. *)
+let race vol st steps succs =
+  let labels = List.map fst succs in
+  List.find_map
+    (fun (((tid, a) as l), _) ->
+      List.find_opt
+        (fun (tid', b) ->
+          (not (Thread_id.equal tid tid')) && Action.conflicting vol a b)
+        (target_labels st steps labels l)
+      |> Option.map (fun b -> (l, b)))
+    succs
+
 (* ------------------------------------------------------------------ *)
 (* The engine: one discovery loop, one fold                            *)
 (* ------------------------------------------------------------------ *)
@@ -492,11 +495,8 @@ let target_labels st steps labels (tid, a) =
    size 1 the loop is a depth-first search in the calling domain, on
    the single-stripe, mutex-free tables.  Larger pools use the striped
    tables, and idle workers steal oldest-first.  An exception raised by
-   an expansion or by [on_revisit] (a witness search's [Found]) aborts
-   every worker and surfaces from [discover]: that is how searches exit
-   early.  [on_revisit] sees each edge whose target was reached before;
-   the edge a state is expanded by is its own (a witness search keeps
-   it in the state).
+   an expansion (a witness search's [Found]) aborts every worker and
+   surfaces from [discover]: that is how searches exit early.
 
    The optional reduction [select] keeps a persistent subset of each
    expansion.  It is a pure function of the state, and each state is
@@ -548,10 +548,8 @@ let ws_hooks ~shared (s : stats) =
   else (wait, steal, None)
 
 let discover (type st lbl) ~pool ~max_states ~(stats : stats) ?(graph = true)
-    ?(arena_words = fun () -> 0) ?select
-    ?(on_revisit : lbl -> st -> int -> unit = fun _ _ _ -> ())
-    ~(digest : st -> int array) ~(expand : int -> st -> (lbl * st) list)
-    (root : st) : lbl discovered =
+    ?(arena_words = fun () -> 0) ?select ~(digest : st -> int array)
+    ~(expand : int -> st -> (lbl * st) list) (root : st) : lbl discovered =
   let nw = Par.Pool.size pool in
   let shared = nw > 1 in
   let dummy = { pedges = [||] } in
@@ -611,11 +609,11 @@ let discover (type st lbl) ~pool ~max_states ~(stats : stats) ?(graph = true)
           edges.(2 * k) <- id';
           edges.((2 * k) + 1) <- label_id w l
         end;
-        match item with
-        | Some item ->
+        Option.iter
+          (fun item ->
             budget s;
-            next := item :: !next
-        | None -> on_revisit l st' id')
+            next := item :: !next)
+          item)
       selected;
     List.iter push !next;
     if graph then m.pedges <- edges
@@ -721,10 +719,10 @@ let prepend_external a sub =
 (* Behaviours and state counts                                         *)
 (* ------------------------------------------------------------------ *)
 
-let sys_graph ~pool ~max_states ~stats ?local ?(expand = enabled) sys =
+let sys_graph ~pool ~max_states ~stats ?(expand = enabled) sys =
   let ctx = make_ctx ~shared:(Par.Pool.size pool > 1) sys in
   discover ~pool ~max_states ~stats ~arena_words:ctx.arena_words
-    ?select:(Option.map persistent_select local)
+    ~select:(persistent_select sys.System.local)
     ~digest:state_digest
     ~expand:(fun _ -> expand ctx)
     (initial ctx)
@@ -736,18 +734,16 @@ let behaviour_fold ~stats g =
     ~label:(fun (_, a) -> prepend_external a)
     ~stats g
 
-let behaviours ?(max_states = default_max_states) ?local ?stats ?jobs ?pool
-    sys =
+let behaviours ?(max_states = default_max_states) ?stats ?jobs ?pool sys =
   observed "explorer.behaviours" stats @@ fun stats ->
   with_pool ?jobs ?pool @@ fun pool ->
   let stats = sink stats in
-  behaviour_fold ~stats (sys_graph ~pool ~max_states ~stats ?local sys)
+  behaviour_fold ~stats (sys_graph ~pool ~max_states ~stats sys)
 
 (* One exploration, two answers: the expansion also runs the race test
-   on every enabled transition of the state, selected or not, until one
-   races. *)
-let behaviours_and_drf ?(max_states = default_max_states) ?local ?stats ?jobs
-    ?pool vol sys =
+   on every state until one races. *)
+let behaviours_and_drf ?(max_states = default_max_states) ?stats ?jobs ?pool
+    vol sys =
   observed "explorer.behaviours_drf" stats @@ fun stats ->
   with_pool ?jobs ?pool @@ fun pool ->
   let stats = sink stats in
@@ -755,26 +751,18 @@ let behaviours_and_drf ?(max_states = default_max_states) ?local ?stats ?jobs
   let expand ctx st =
     let steps = offered ctx st in
     let succs = transitions ctx st steps in
-    if not (Atomic.get racy) then begin
-      let labels = List.map fst succs in
-      if
-        List.exists
-          (fun (l, _) ->
-            Option.is_some (racing vol l (target_labels st steps labels l)))
-          succs
-      then Atomic.set racy true
-    end;
+    if (not (Atomic.get racy)) && Option.is_some (race vol st steps succs)
+    then Atomic.set racy true;
     succs
   in
-  let g = sys_graph ~pool ~max_states ~stats ?local ~expand sys in
+  let g = sys_graph ~pool ~max_states ~stats ~expand sys in
   (behaviour_fold ~stats g, not (Atomic.get racy))
 
-let count_states ?(max_states = default_max_states) ?local ?stats ?jobs ?pool
-    sys =
+let count_states ?(max_states = default_max_states) ?stats ?jobs ?pool sys =
   observed "explorer.count_states" stats @@ fun stats ->
   with_pool ?jobs ?pool @@ fun pool ->
   let stats = sink stats in
-  let g = sys_graph ~pool ~max_states ~stats ?local sys in
+  let g = sys_graph ~pool ~max_states ~stats sys in
   fold ~empty:() ~union:(fun () () -> ()) ~label:(fun _ () -> ()) ~stats g;
   Array.length g.succ
 
@@ -816,81 +804,52 @@ let count_executions ?max_steps ?stats sys =
 (* Witness searches                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* A witness search walks scheduler states carrying the path that first
-   reached each one, reversed: its head is the edge the state is
-   expanded by. *)
+(* A witness search walks scheduler states carrying the path that
+   reached each one, reversed. *)
 type 'ts walker = { at : 'ts state; path : Interleaving.t }
 
-let steps w succs =
+let extend w succs =
   List.map
     (fun (((tid, a) as l), st') ->
       (l, { at = st'; path = Interleaving.pair tid a :: w.path }))
     succs
 
-let walk ~pool ~max_states ~stats ?on_revisit ~expand ctx =
+let walk ~pool ~max_states ~stats ?select ~expand ctx =
   ignore
     (discover ~pool ~max_states ~stats:(sink stats) ~graph:false
-       ~arena_words:ctx.arena_words ?on_revisit
+       ~arena_words:ctx.arena_words ?select
        ~digest:(fun w -> state_digest w.at)
        ~expand
        { at = initial ctx; path = [] })
 
-(* The race check runs on every edge, against the enabled set of the
-   edge's target: at the target's expansion for the edge that first
-   reached it, on arrival for every later edge.  Each state's enabled
-   set is computed once, at its expansion; [seen] keeps its labels, by
-   state id, for the later edges.  Every edge of a path is checked
-   before its target expands, so a witness's first adjacent race is its
-   last two actions. *)
+(* [behaviours_and_drf]'s race test on the same reduced walk, keeping
+   paths: the first state that races answers its path, then the racing
+   transition, then the step it races with.  Every state on that path
+   was expanded, so its transitions were tested before the walk went
+   on: a witness's first adjacent race is its last two actions. *)
 let find_adjacent_race ?(max_states = default_max_states) ?stats ?jobs ?pool
     vol sys =
   observed "explorer.race_search" stats @@ fun stats ->
   with_pool ?jobs ?pool @@ fun pool ->
-  let shared = Par.Pool.size pool > 1 in
-  let ctx = make_ctx ~shared sys in
-  let seen =
-    if shared then Par.Ptbl.create ~dummy:None ()
-    else Par.Ptbl.create_local ~dummy:None ()
-  in
-  let remember id labels =
-    ignore (Par.Ptbl.update seen [| id |] (fun _ -> (Some labels, ())))
-  in
+  let ctx = make_ctx ~shared:(Par.Pool.size pool > 1) sys in
   let exception Found of Interleaving.t in
-  let check path labels =
-    match path with
-    | [] -> ()
-    | { Interleaving.tid; action = a } :: _ ->
-        Option.iter
-          (fun (tid', b) ->
-            raise (Found (List.rev (Interleaving.pair tid' b :: path))))
-          (racing vol (tid, a) labels)
+  let expand _ w =
+    let steps = offered ctx w.at in
+    let succs = transitions ctx w.at steps in
+    match race vol w.at steps succs with
+    | Some ((tid, a), (tid', b)) ->
+        raise
+          (Found
+             (List.rev
+                (Interleaving.pair tid' b :: Interleaving.pair tid a :: w.path)))
+    | None -> extend w succs
   in
-  let expand id w =
-    let succs = enabled ctx w.at in
-    let labels = List.map fst succs in
-    check w.path labels;
-    remember id labels;
-    steps w succs
-  in
-  (* A target still in flight elsewhere has no labels yet: compute them. *)
-  let on_revisit _ w id =
-    let cached m =
-      let m = Option.join m in
-      (m, m)
-    in
-    match snd (Par.Ptbl.update seen [| id |] cached) with
-    | Some labels -> check w.path labels
-    | None ->
-        let labels = List.map fst (enabled ctx w.at) in
-        check w.path labels;
-        remember id labels
-  in
-  match walk ~pool ~max_states ~stats ~on_revisit ~expand ctx with
+  match
+    walk ~pool ~max_states ~stats ~select:(persistent_select sys.System.local)
+      ~expand ctx
+  with
   | () -> None
   | exception Found i -> Some i
-
-let is_drf ?max_states ?stats ?jobs ?pool vol sys =
-  Option.is_none (find_adjacent_race ?max_states ?stats ?jobs ?pool vol sys)
 
 let find_deadlock ?(max_states = default_max_states) ?stats sys =
   observed "explorer.deadlock" stats @@ fun stats ->
@@ -901,7 +860,7 @@ let find_deadlock ?(max_states = default_max_states) ?stats sys =
     | [] when Array.exists (fun ts -> sys.System.steps ts <> []) w.at.threads
       ->
         raise (Found (List.rev w.path))
-    | succs -> steps w succs
+    | succs -> extend w succs
   in
   match walk ~pool:solo ~max_states ~stats ~expand ctx with
   | () -> None

@@ -15,11 +15,13 @@
       in unboxed arenas ({!Par.Ptbl}), and each state's edges are one
       unboxed [int array] of (target, label) id pairs.
 
-    - {b Persistent-set partial-order reduction.}  When a [local]
-      predicate is supplied, a state where one thread's enabled
-      transitions are all local expands that thread's transitions
-      alone.  Reduced and unreduced behaviour sets and DRF verdicts
-      coincide; DESIGN.md §6.2 gives the argument.
+    - {b Persistent-set partial-order reduction.}  A state where one
+      thread's enabled transitions are all local, as the system's
+      {!System.t.local} says, expands that thread's transitions alone.
+      The behaviour, state-count and race searches are reduced;
+      {!find_deadlock}, the execution streams and the sampler are not.
+      Reduced and full behaviour sets and DRF verdicts coincide;
+      DESIGN.md §6.2 gives the argument.
 
     - {b Work stealing at any pool size.}  The loop runs on the
       {!Par.Ws} scheduler; see {e Pool size} below.
@@ -141,57 +143,46 @@ val batch_map :
     and each state is expanded once.  {b Results are identical} at
     every pool size: same behaviour sets, same DRF verdicts, same
     [Cyclic] / [Too_many_states] outcomes, and the same [states],
-    [edges] and [por_cuts] counts, with or without [local].  Only
-    witness {e choice} may differ where several witnesses exist. *)
+    [edges] and [por_cuts] counts.  Only witness {e choice} may differ
+    where several witnesses exist. *)
 
 val behaviours :
   ?max_states:int ->
-  ?local:(Action.t -> bool) ->
   ?stats:stats ->
   ?jobs:int ->
   ?pool:Par.Pool.t ->
   'ts System.t ->
   Behaviour.Set.t
-(** The set of behaviours of all executions.  Prefix-closed.
-
-    [local] enables the persistent-set reduction.  It must return
-    [true] only for accesses to locations no other thread touches, and
-    the system's thread states must offer at most one step each, as
-    the language's do (an explicit traceset may offer a local write
-    next to a lock it cannot take yet, and the reduction would lose the
-    lock branch).  The behaviour set is identical with and without
-    [local], and at every pool size. *)
+(** The set of behaviours of all executions.  Prefix-closed, and the
+    same whatever the system's [local] predicate says (it must hold
+    only for actions that commute with every other thread's steps, see
+    {!System.t.local}). *)
 
 val count_states :
   ?max_states:int ->
-  ?local:(Action.t -> bool) ->
   ?stats:stats ->
   ?jobs:int ->
   ?pool:Par.Pool.t ->
   'ts System.t ->
   int
-(** Number of distinct scheduler states explored; [local] as in
-    {!behaviours} (the reduced count can be much smaller).  The count
-    is the same at every pool size, with or without [local]. *)
+(** Number of distinct scheduler states explored: fewer where the
+    system says some actions are [local]. *)
 
 val behaviours_and_drf :
   ?max_states:int ->
-  ?local:(Action.t -> bool) ->
   ?stats:stats ->
   ?jobs:int ->
   ?pool:Par.Pool.t ->
   Location.Volatile.t ->
   'ts System.t ->
   Behaviour.Set.t * bool
-(** [(behaviours sys, is_drf vol sys)] from one exploration, reduced
-    when [local] is given (as in {!behaviours}).  At each expanded
-    state, every enabled transition, selected or not, goes through the
-    race test {!find_adjacent_race} applies to an edge, against the
-    other threads' next steps in its successor.  Those steps are read
-    off the source state; only a read or RMW of the location the
-    transition writes is re-run against the written value.  No witness
-    is kept: ask {!find_adjacent_race} for one once the verdict is
-    racy. *)
+(** [(behaviours sys, find_adjacent_race vol sys = None)] from one
+    exploration.  At each expanded state, every enabled transition,
+    selected or not, goes through the race test: against the other
+    threads' next steps in its successor.  Those steps are read off the
+    source state; only a read or RMW of the location the transition
+    writes is re-run against the written value.  No witness is kept:
+    ask {!find_adjacent_race} for one once the verdict is racy. *)
 
 val maximal_executions_seq :
   ?max_steps:int -> ?stats:stats -> 'ts System.t -> Interleaving.t Seq.t
@@ -216,23 +207,13 @@ val find_adjacent_race :
   'ts System.t ->
   Interleaving.t option
 (** A witness execution whose last two actions are adjacent conflicting
-    accesses by different threads, if one exists.  The search is
-    unreduced.  Every edge is checked against its target's enabled set,
-    computed once per state and shared between the state's expansion
-    and the checks on its incoming edges; the search stops at the first
-    race.  The verdict is the same at
-    every pool size; the particular witness may differ between sizes
-    and, above size 1, between runs (any adjacent race is a valid
-    witness). *)
-
-val is_drf :
-  ?max_states:int ->
-  ?stats:stats ->
-  ?jobs:int ->
-  ?pool:Par.Pool.t ->
-  Location.Volatile.t ->
-  'ts System.t ->
-  bool
+    accesses by different threads, and the only such pair in it, if
+    one exists.  The search walks the graph {!behaviours_and_drf}
+    explores, with the same race test, and stops at the first state
+    that races: the witness is the path to it, the racing transition
+    and the step it races with.  The verdict is the same at every pool
+    size; the particular witness may differ between sizes and, above
+    size 1, between runs. *)
 
 val find_deadlock :
   ?max_states:int -> ?stats:stats -> 'ts System.t -> Interleaving.t option

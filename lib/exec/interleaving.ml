@@ -122,43 +122,41 @@ let is_interleaving_of ts i =
 
 let location_of_index i k = Action.location (nth i k).action
 
+(* What an action reads and what it writes: an RMW does both. *)
+let read_of = function
+  | Action.Read (l, v) | Action.Rmw (l, v, _) -> Some (l, v)
+  | _ -> None
+
+let write_of = function
+  | Action.Write (l, v) | Action.Rmw (l, _, v) -> Some (l, v)
+  | _ -> None
+
+let writes_to i j l =
+  match write_of (nth i j).action with
+  | Some (l', _) -> Location.equal l l'
+  | None -> false
+
 let sees_write i r w =
   w < r && r < length i
   &&
-  match ((nth i r).action, (nth i w).action) with
-  | Action.Read (l, v), Action.Write (l', v') ->
+  match (read_of (nth i r).action, write_of (nth i w).action) with
+  | Some (l, v), Some (l', v') ->
       Location.equal l l' && Value.equal v v'
-      && List.for_all
-           (fun j ->
-             not
-               (j > w && j < r
-               &&
-               match (nth i j).action with
-               | Action.Write (l'', _) -> Location.equal l l''
-               | _ -> false))
-           (dom i)
+      && List.for_all (fun j -> not (j > w && j < r && writes_to i j l)) (dom i)
   | _ -> false
 
 let sees_default i r =
-  match (nth i r).action with
-  | Action.Read (l, v) ->
+  match read_of (nth i r).action with
+  | Some (l, v) ->
       Value.is_default v
-      && List.for_all
-           (fun j ->
-             not
-               (j < r
-               &&
-               match (nth i j).action with
-               | Action.Write (l', _) -> Location.equal l l'
-               | _ -> false))
-           (dom i)
-  | _ -> false
+      && List.for_all (fun j -> not (j < r && writes_to i j l)) (dom i)
+  | None -> false
 
 let sees_most_recent_write i r =
-  match (nth i r).action with
-  | Action.Read _ ->
+  match read_of (nth i r).action with
+  | Some _ ->
       sees_default i r || List.exists (fun w -> sees_write i r w) (dom i)
-  | _ -> true
+  | None -> true
 
 let is_sequentially_consistent i =
   List.for_all (fun k -> sees_most_recent_write i k) (dom i)

@@ -60,14 +60,16 @@ val is_interleaving_of : Traceset.t -> t -> bool
 val sees_write : t -> int -> int -> bool
 (** [sees_write i r w]: index [r] is a read, [w < r] is a write to the
     same location with the same value, and no write to that location
-    lies strictly between them. *)
+    lies strictly between them.  An RMW is both a read (of its read
+    value) and a write (of its written value). *)
 
 val sees_default : t -> int -> bool
 (** [r] reads the default value and no earlier write to its location
     exists. *)
 
 val sees_most_recent_write : t -> int -> bool
-(** [r] sees the default value, or sees some write, or is not a read. *)
+(** [r] sees the default value, or sees some write, or does not
+    read. *)
 
 val is_sequentially_consistent : t -> bool
 (** All indices see the most recent write. *)

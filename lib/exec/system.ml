@@ -9,6 +9,7 @@ type 'ts t = {
   initial : 'ts list;
   steps : 'ts -> 'ts step list;
   key : 'ts -> string;
+  local : Action.t -> bool;
 }
 
 let encode v = Marshal.to_string v [ Marshal.No_sharing ]

@@ -39,6 +39,14 @@ type 'ts t = {
           must have the same future.  The engines intern it once per
           thread step, so it should be cheap: build it with {!encode},
           not by printing the state. *)
+  local : Action.t -> bool;
+      (** The actions that commute with every other thread's steps and
+          never race: starts, and accesses to locations no other thread
+          touches.  {!Explorer} expands a state's persistent set from
+          it: a thread whose enabled transitions are all local is
+          expanded alone.  That is sound only if each thread state offers
+          at most one step, so a system whose threads may offer several
+          answers [false] throughout and is explored in full. *)
 }
 
 val encode : 'a -> string

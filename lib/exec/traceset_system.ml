@@ -70,4 +70,5 @@ let make ts =
     System.initial = List.init n (fun i -> (i, []));
     steps;
     key = System.encode;
+    local = (fun _ -> false);
   }

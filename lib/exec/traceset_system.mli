@@ -6,7 +6,9 @@
     the empty trace a thread [i] may only issue its own start action
     [S(i)] (entry points, section 3).  Reads of the same location with
     different values are grouped into a single {!System.Read} step whose
-    continuation checks membership of the extension. *)
+    continuation checks membership of the extension.  A thread may
+    offer several steps at once, so no action is {!System.t.local} and
+    the explorer searches the full state graph. *)
 
 open Safeopt_trace
 

@@ -1,12 +1,8 @@
 open Safeopt_trace
 open Safeopt_exec
 
-let behaviours ?fuel ?max_states ?(por = false) ?stats ?jobs ?pool p =
-  let local =
-    if por then Some (Thread_system.local_actions p) else None
-  in
-  Explorer.behaviours ?max_states ?local ?stats ?jobs ?pool
-    (Thread_system.make ?fuel p)
+let behaviours ?fuel ?max_states ?stats ?jobs ?pool p =
+  Explorer.behaviours ?max_states ?stats ?jobs ?pool (Thread_system.make ?fuel p)
 
 let find_race ?fuel ?max_states ?stats ?jobs ?pool p =
   Explorer.find_adjacent_race ?max_states ?stats ?jobs ?pool p.Ast.volatile
@@ -16,8 +12,7 @@ let is_drf ?fuel ?max_states ?stats ?jobs ?pool p =
   Option.is_none (find_race ?fuel ?max_states ?stats ?jobs ?pool p)
 
 let behaviours_and_drf ?fuel ?max_states ?stats ?jobs ?pool p =
-  Explorer.behaviours_and_drf ?max_states
-    ~local:(Thread_system.local_actions p) ?stats ?jobs ?pool p.Ast.volatile
+  Explorer.behaviours_and_drf ?max_states ?stats ?jobs ?pool p.Ast.volatile
     (Thread_system.make ?fuel p)
 
 let maximal_executions ?fuel ?max_steps ?stats p =
@@ -27,11 +22,8 @@ let maximal_executions_seq ?fuel ?max_steps ?stats p =
   Explorer.maximal_executions_seq ?max_steps ?stats
     (Thread_system.make ?fuel p)
 
-let count_states ?fuel ?max_states ?(por = false) ?stats ?jobs ?pool p =
-  let local =
-    if por then Some (Thread_system.local_actions p) else None
-  in
-  Explorer.count_states ?max_states ?local ?stats ?jobs ?pool
+let count_states ?fuel ?max_states ?stats ?jobs ?pool p =
+  Explorer.count_states ?max_states ?stats ?jobs ?pool
     (Thread_system.make ?fuel p)
 
 let find_deadlock ?fuel ?max_states ?stats p =

@@ -3,7 +3,10 @@
     Thin wrappers tying {!Thread_system} to the unified exploration
     engine in [Safeopt_exec.Explorer]: behaviours, data-race freedom,
     executions — the paper's section-3 notions computed for concrete
-    programs.  Every analysis accepts an optional [stats] sink
+    programs.  The behaviour, state-count and race searches run reduced
+    by the program's thread-local actions (see {!Thread_system.make});
+    {!find_deadlock} and the execution streams are not reduced.  Every
+    analysis accepts an optional [stats] sink
     ({!Safeopt_exec.Explorer.stats}) that accumulates states visited,
     memo hits, POR cuts, peak frontier depth and wall time. *)
 
@@ -13,18 +16,15 @@ open Safeopt_exec
 val behaviours :
   ?fuel:int ->
   ?max_states:int ->
-  ?por:bool ->
   ?stats:Explorer.stats ->
   ?jobs:int ->
   ?pool:Par.Pool.t ->
   Ast.program ->
   Behaviour.Set.t
 (** All observable behaviours of all SC executions (prefix-closed).
-    [por] (default false) enables the partial-order reduction seeded
-    with {!Thread_system.local_actions}; the result is unchanged, the
-    exploration usually smaller.  [jobs]/[pool] run the exploration
-    across domains ([Safeopt_exec.Par]); the behaviour set is identical
-    to the sequential one. *)
+    [jobs]/[pool] run the exploration across domains
+    ([Safeopt_exec.Par]); the behaviour set is identical to the
+    sequential one. *)
 
 val is_drf :
   ?fuel:int ->
@@ -57,10 +57,10 @@ val behaviours_and_drf :
   ?pool:Par.Pool.t ->
   Ast.program ->
   Behaviour.Set.t * bool
-(** [(behaviours p, is_drf p)] from one exploration, reduced by
-    {!Thread_system.local_actions}: the two questions the DRF guarantee
-    asks of a program under SC.  No witness is kept; {!find_race} gives
-    one.  Both answers are identical at every pool size. *)
+(** [(behaviours p, is_drf p)] from one exploration: the two questions
+    the DRF guarantee asks of a program under SC.  No witness is kept;
+    {!find_race} gives one.  Both answers are identical at every pool
+    size. *)
 
 val maximal_executions :
   ?fuel:int -> ?max_steps:int -> ?stats:Explorer.stats -> Ast.program ->
@@ -75,7 +75,6 @@ val maximal_executions_seq :
 val count_states :
   ?fuel:int ->
   ?max_states:int ->
-  ?por:bool ->
   ?stats:Explorer.stats ->
   ?jobs:int ->
   ?pool:Par.Pool.t ->

@@ -18,6 +18,22 @@ let rec stmt_has_loop = function
 
 let has_loop p = List.exists (List.exists stmt_has_loop) p.Ast.threads
 
+(* Starts, and accesses to locations that only one thread mentions. *)
+let local_actions p =
+  let shared, _ =
+    List.fold_left
+      (fun (shared, seen) fv ->
+        Location.Set.(union shared (inter seen fv), union seen fv))
+      (Location.Set.empty, Location.Set.empty)
+      (List.map Ast.fv_thread p.Ast.threads)
+  in
+  function
+  | Action.Start _ -> true
+  | a -> (
+      match Action.location a with
+      | Some l -> not (Location.Set.mem l shared)
+      | None -> false)
+
 let make ?(fuel = 64) p =
   let fuel = if has_loop p then Some fuel else None in
   let initial =
@@ -60,23 +76,4 @@ let make ?(fuel = 64) p =
     System.encode
       (st.tid, st.started, st.fuel, Semantics.canonical st.config)
   in
-  { System.initial; steps; key }
-
-let local_actions p =
-  (* locations accessed by at most one thread *)
-  let tables = List.map Ast.fv_thread p.Ast.threads in
-  let shared =
-    List.concat_map Location.Set.elements tables
-    |> List.sort Location.compare
-    |> fun locs ->
-    let rec dups = function
-      | a :: (b :: _ as rest) ->
-          if Location.equal a b then a :: dups rest else dups rest
-      | _ -> []
-    in
-    Location.Set.of_list (dups locs)
-  in
-  fun a ->
-    match Action.location a with
-    | Some l -> not (Location.Set.mem l shared)
-    | None -> false
+  { System.initial; steps; key; local = local_actions p }

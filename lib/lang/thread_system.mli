@@ -12,12 +12,9 @@ type state
 
 val make : ?fuel:int -> Ast.program -> state Safeopt_exec.System.t
 (** [fuel] (default 64) is used only when the program contains a
-    [while] loop. *)
+    [while] loop.  The system's [local] actions are the starts and the
+    accesses to locations that, syntactically, only one thread of the
+    program mentions: they commute with every other thread's steps and
+    never race, so the explorer's searches of a program are reduced. *)
 
 val has_loop : Ast.program -> bool
-
-val local_actions : Ast.program -> Safeopt_trace.Action.t -> bool
-(** The partial-order-reduction predicate for {!Safeopt_exec.Explorer}:
-    true for accesses to locations that, syntactically, only a single
-    thread of the program accesses (such actions are invisible,
-    commute with every other thread's steps and never race). *)

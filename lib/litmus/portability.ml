@@ -240,7 +240,7 @@ let explained_by_transformations ?fuel ?max_states ?(max_programs = 2_000)
     | q :: qs ->
         let weak =
           Behaviour.Set.diff weak
-            (Interp.behaviours ?fuel ?max_states ~por:true q)
+            (Interp.behaviours ?fuel ?max_states q)
         in
         Behaviour.Set.is_empty weak || cover weak qs
   in

@@ -31,7 +31,7 @@ let describe = function
 
 let behaviours ?fuel ?max_states ?stats ?jobs ?pool m p =
   match m with
-  | Sc -> Interp.behaviours ?fuel ?max_states ~por:true ?stats ?jobs ?pool p
+  | Sc -> Interp.behaviours ?fuel ?max_states ?stats ?jobs ?pool p
   | Tso -> Store_buffer.Tso.program_behaviours ?fuel ?max_states ?stats ?jobs ?pool p
   | Pso -> Store_buffer.Pso.program_behaviours ?fuel ?max_states ?stats ?jobs ?pool p
 

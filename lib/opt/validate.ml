@@ -76,7 +76,7 @@ let find_race_fast ?fuel ?max_states ?stats ?jobs ?pool p =
    certificate only needs its behaviours. *)
 let sc_questions ?fuel ?max_states ?stats ?jobs ?pool p =
   if Safeopt_analysis.Static_race.certified_drf p then
-    (Interp.behaviours ?fuel ?max_states ~por:true ?stats ?jobs ?pool p, true)
+    (Interp.behaviours ?fuel ?max_states ?stats ?jobs ?pool p, true)
   else Interp.behaviours_and_drf ?fuel ?max_states ?stats ?jobs ?pool p
 
 let validate_with ?fuel ?max_states ?stats ?jobs ?pool

@@ -46,6 +46,15 @@ let il pairs =
 
 let parse = Safeopt_lang.Parser.parse_program
 
+(* A program's thread system with no local action: the explorer then
+   searches the full state graph, the reference for its reduced
+   searches. *)
+let full p =
+  {
+    (Safeopt_lang.Thread_system.make p) with
+    Safeopt_exec.System.local = (fun _ -> false);
+  }
+
 let behaviours_of_list l =
   List.fold_left
     (fun acc b -> Safeopt_exec.Behaviour.Set.add b acc)

@@ -13,7 +13,10 @@
      write, or the default value), with the number of distinct
      scheduler states reached.
    - [is_drf vol sys]: no execution has two adjacent conflicting
-     accesses by different threads (§3's adjacent-race definition). *)
+     accesses by different threads (§3's adjacent-race definition).
+   - [replay sys i]: the states an interleaving can end in, stepping
+     from the initial state through transitions labelled as its
+     actions; [[]] if [i] is not an execution of [sys]. *)
 
 open Safeopt_trace
 open Safeopt_exec
@@ -113,6 +116,18 @@ let behaviours sys =
           in
           List.sort_uniq compare (acc @ sub))
         [ [] ] succs)
+
+let replay sys i =
+  List.fold_left
+    (fun sts { Interleaving.tid; action } ->
+      List.concat_map
+        (fun st ->
+          List.filter_map
+            (fun ((t, a), st') ->
+              if t = tid && Action.equal a action then Some st' else None)
+            (transitions sys st))
+        sts)
+    [ initial sys ] i
 
 let is_drf vol sys =
   let racy =

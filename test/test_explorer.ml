@@ -56,8 +56,12 @@ let test_executions_stats () =
   check_b "count_executions counts the same edges" true
     (s'.Explorer.edges = s.Explorer.edges)
 
+let is_drf ?jobs ts =
+  Option.is_none
+    (Explorer.find_adjacent_race ?jobs none (Traceset_system.make ts))
+
 let test_race_search () =
-  check_b "sb racy" false (Explorer.is_drf none (Traceset_system.make sb_ts));
+  check_b "sb racy" false (is_drf sb_ts);
   let locked =
     Traceset.of_list
       [
@@ -66,17 +70,16 @@ let test_race_search () =
         [ st 1; lk "m"; r "x" 1; ul "m" ];
       ]
   in
-  check_b "locked drf" true (Explorer.is_drf none (Traceset_system.make locked));
-  (* The one race, W[x=1] then R[x=1], needs thread 1's R[y=0] first, so
-     its state is first reached by that read: only the check on the
-     second edge into the state sees it. *)
+  check_b "locked drf" true (is_drf locked);
+  (* The one race, W[x=1] then R[x=1], needs thread 1's R[y=0] first:
+     R[x=1] is offered only once W[x=1] has run, so the test must re-run
+     thread 1's read against the written value. *)
   let late =
     Traceset.of_list [ [ st 0; w "x" 1 ]; [ st 1; r "y" 0; r "x" 1 ] ]
   in
   List.iter
     (fun jobs ->
-      check_b "race behind a revisited state" false
-        (Explorer.is_drf ~jobs none (Traceset_system.make late)))
+      check_b "race behind a revisited state" false (is_drf ~jobs late))
     [ 1; 2 ]
 
 let test_locks_block () =
@@ -198,12 +201,12 @@ let test_stats_consistent () =
 let test_stats_monotone () =
   let p = Litmus.program Corpus.sb in
   let s = Explorer.create_stats () in
-  let (_ : Behaviour.Set.t) = Interp.behaviours ~stats:s p in
+  let (_ : Behaviour.Set.t) = Explorer.behaviours ~stats:s (full p) in
   let snap =
     Explorer.
       (s.states, s.edges, s.memo_hits, s.por_cuts, s.peak_frontier, s.wall)
   in
-  let (_ : Behaviour.Set.t) = Interp.behaviours ~por:true ~stats:s p in
+  let (_ : Behaviour.Set.t) = Interp.behaviours ~stats:s p in
   let states0, edges0, hits0, cuts0, peak0, wall0 = snap in
   check "states grew" true (s.Explorer.states >= states0);
   check "edges grew" true (s.Explorer.edges >= edges0);
@@ -222,9 +225,9 @@ let test_por_cuts () =
   List.iter
     (fun p ->
       let s = Explorer.create_stats () in
-      let reduced = Interp.count_states ~por:true ~stats:s p in
-      let full = Interp.count_states p in
-      check "reduced <= full" true (reduced <= full);
+      let reduced = Interp.count_states ~stats:s p in
+      check "reduced <= full" true
+        (reduced <= Explorer.count_states (full p));
       cuts := !cuts + s.Explorer.por_cuts)
     (corpus_programs ());
   check "POR cut transitions somewhere in the corpus" true (!cuts > 0)
@@ -233,13 +236,13 @@ let test_por_cuts () =
    totals grow if a key becomes finer and shrink if it becomes
    coarser. *)
 let test_corpus_state_totals () =
-  let total por =
-    List.fold_left
-      (fun n p -> n + Interp.count_states ~por p)
-      0 (corpus_programs ())
+  let total count =
+    List.fold_left (fun n p -> n + count p) 0 (corpus_programs ())
   in
-  Alcotest.(check int) "unreduced states over the corpus" 5126 (total false);
-  Alcotest.(check int) "reduced states over the corpus" 4613 (total true)
+  Alcotest.(check int) "unreduced states over the corpus" 5126
+    (total (fun p -> Explorer.count_states (full p)));
+  Alcotest.(check int) "reduced states over the corpus" 4613
+    (total Interp.count_states)
 
 (* The acceptance criterion: reduced and unreduced behaviour sets
    coincide on the entire corpus. *)
@@ -249,8 +252,9 @@ let test_por_sound_on_corpus () =
       check
         (Printf.sprintf "POR behaviours equal on %s" t.Litmus.name)
         true
-        (Behaviour.Set.equal (Interp.behaviours p)
-           (Interp.behaviours ~por:true p)))
+        (Behaviour.Set.equal
+           (Explorer.behaviours (full p))
+           (Interp.behaviours p)))
     Corpus.all (corpus_programs ())
 
 (* Streaming: taking the first maximal execution must traverse far

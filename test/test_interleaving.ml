@@ -89,6 +89,15 @@ let test_sc () =
   in
   check_b "shadowed write" false
     (Interleaving.is_sequentially_consistent shadowed);
+  (* an RMW reads like a read and writes like a write *)
+  let u l r w = Action.Rmw (l, r, w) in
+  let sc pairs = Interleaving.is_sequentially_consistent (il pairs) in
+  check_b "read sees an RMW" true
+    (sc [ (0, st 0); (0, u "x" 0 1); (1, st 1); (1, r "x" 1) ]);
+  check_b "read misses an RMW" false
+    (sc [ (0, st 0); (0, u "x" 0 1); (1, st 1); (1, r "x" 0) ]);
+  check_b "RMW reads a stale value" false
+    (sc [ (0, st 0); (0, w "x" 1); (0, u "x" 0 2) ]);
   check_b "execution of" true (Interleaving.is_execution_of ts1 i1)
 
 let test_behaviour_memory () =

@@ -200,23 +200,23 @@ let qcheck_jobs_parity =
          "count_states and behaviours identical across jobs {1,2,4} (300 \
           random programs, POR on and off)"
        ~count:300 ~print:Generators.print_program Generators.program (fun p ->
-         let run por pool =
+         let run sys pool =
            let s = Explorer.create_stats () in
-           let b = Interp.behaviours ~por ~stats:s ?pool p in
+           let b = Explorer.behaviours ~stats:s ?pool sys in
            ( b,
-             Interp.count_states ~por ?pool p,
+             Explorer.count_states ?pool sys,
              s.Explorer.edges,
              s.Explorer.por_cuts )
          in
-         let parity por =
-           let b1, c1, e1, k1 = run por None in
+         let parity sys =
+           let b1, c1, e1, k1 = run sys None in
            List.for_all
              (fun pl ->
-               let b, c, e, k = run por (Some pl) in
+               let b, c, e, k = run sys (Some pl) in
                Behaviour.Set.equal b1 b && c1 = c && e1 = e && k1 = k)
              [ pool2; pool ]
          in
-         parity false && parity true))
+         parity (full p) && parity (Thread_system.make p)))
 
 (* Acceptance criterion: POR-reduced state counts match exactly across
    jobs 1/2/4 on the full litmus corpus. *)
@@ -224,9 +224,9 @@ let test_corpus_por_parity () =
   List.iter
     (fun (t : Litmus.t) ->
       let p = Litmus.program t in
-      let c1 = Interp.count_states ~por:true p in
-      let c2 = Interp.count_states ~por:true ~pool:pool2 p in
-      let c4 = Interp.count_states ~por:true ~pool p in
+      let c1 = Interp.count_states p in
+      let c2 = Interp.count_states ~pool:pool2 p in
+      let c4 = Interp.count_states ~pool p in
       if not (c1 = c2 && c2 = c4) then
         Alcotest.failf
           "%s: reduced state counts differ across jobs (1:%d 2:%d 4:%d)"
@@ -270,93 +270,23 @@ let test_graph_parallel () =
 
 (* --- witnesses ----------------------------------------------------------- *)
 
-(* Replay an interleaving step by step through the thread system, with
-   the scheduler's rules restated here rather than taken from the
-   explorer: reads see the current memory, an RMW reads and writes in
-   one step, locks are free or held by the locker (re-entrant), unlocks
-   release a held lock.  [final] judges the state the replay ends in. *)
-let replay (sys : _ System.t) ~final (i : Interleaving.t) =
-  let open Safeopt_trace in
-  let read mem l =
-    Option.value ~default:Value.default (Location.Map.find_opt l mem)
-  in
-  let enabled mem locks tid = function
-    | System.Read (l, k) -> k (read mem l) <> None
-    | System.Rmw (l, k) -> k (read mem l) <> []
-    | System.Emit (Action.Lock m, _) -> (
-        match Monitor.Map.find_opt m locks with
-        | Some (o, _) -> Thread_id.equal o tid
-        | None -> true)
-    | System.Emit (Action.Unlock m, _) -> (
-        match Monitor.Map.find_opt m locks with
-        | Some (o, _) -> Thread_id.equal o tid
-        | None -> false)
-    | System.Emit _ -> true
-  in
-  let rec go threads mem locks = function
-    | [] ->
-        final
-          (Array.to_list threads
-          |> List.mapi (fun tid ts ->
-                 List.map (enabled mem locks tid) (sys.System.steps ts)))
-    | { Interleaving.tid; action } :: rest ->
-        let next ts' mem locks =
-          let threads = Array.copy threads in
-          threads.(tid) <- ts';
-          go threads mem locks rest
-        in
-        List.exists
-          (fun step ->
-            match (step, action) with
-            | System.Read (l, k), Action.Read (l', v)
-              when Location.equal l l' && v = read mem l -> (
-                match k v with Some ts' -> next ts' mem locks | None -> false)
-            | System.Rmw (l, k), Action.Rmw (l', v, w)
-              when Location.equal l l' && v = read mem l ->
-                List.exists
-                  (fun (w', ts') ->
-                    w' = w && next ts' (Location.Map.add l w mem) locks)
-                  (k v)
-            | System.Emit (a, ts'), _
-              when Action.equal a action && enabled mem locks tid step -> (
-                match a with
-                | Action.Write (l, v) ->
-                    next ts' (Location.Map.add l v mem) locks
-                | Action.Lock m ->
-                    let d =
-                      match Monitor.Map.find_opt m locks with
-                      | Some (_, d) -> d
-                      | None -> 0
-                    in
-                    next ts' mem (Monitor.Map.add m (tid, d + 1) locks)
-                | Action.Unlock m ->
-                    let locks =
-                      match Monitor.Map.find_opt m locks with
-                      | Some (_, 1) -> Monitor.Map.remove m locks
-                      | Some (o, d) -> Monitor.Map.add m (o, d - 1) locks
-                      | None -> locks
-                    in
-                    next ts' mem locks
-                | _ -> next ts' mem locks)
-            | _ -> false)
-          (sys.System.steps threads.(tid))
-  in
-  go (Array.of_list sys.System.initial) Safeopt_trace.Location.Map.empty
-    Safeopt_trace.Monitor.Map.empty i
-
-(* A race witness is an execution of the program whose first adjacent
-   conflicting pair is its last two actions. *)
+(* A race witness is an execution of the program, replayed through the
+   reference enumerator's scheduler, whose first adjacent conflicting
+   pair is its last two actions. *)
 let valid_race p i =
   let n = Interleaving.length i in
   Race.adjacent_race p.Ast.volatile i = Some (n - 2, n - 1)
-  && replay (Thread_system.make p) ~final:(fun _ -> true) i
+  && Reference.replay (Thread_system.make p) i <> []
 
 (* A deadlock witness is an execution ending where no step is enabled
    while some thread still offers one. *)
 let valid_deadlock p i =
-  replay (Thread_system.make p) i ~final:(fun threads ->
-      List.for_all (List.for_all not) threads
-      && List.exists (fun steps -> steps <> []) threads)
+  let sys = Thread_system.make p in
+  List.exists
+    (fun st ->
+      Reference.transitions sys st = []
+      && List.exists (fun ts -> sys.System.steps ts <> []) st.Reference.threads)
+    (Reference.replay sys i)
 
 let race_witness_ok ?pool p =
   match Interp.find_race ?pool p with

@@ -14,26 +14,28 @@ let heavy =
 
 let test_equivalence () =
   Alcotest.check behaviour_set "same behaviours with and without POR"
-    (Interp.behaviours heavy)
-    (Interp.behaviours ~por:true heavy);
+    (Explorer.behaviours (full heavy))
+    (Interp.behaviours heavy);
   List.iter
     (fun t ->
       let p = Litmus.program t in
       if not
-           (Behaviour.Set.equal (Interp.behaviours p)
-              (Interp.behaviours ~por:true p))
+           (Behaviour.Set.equal
+              (Explorer.behaviours (full p))
+              (Interp.behaviours p))
       then Alcotest.failf "%s: POR changed behaviours" t.Litmus.name)
     Corpus.all
 
 let test_reduction () =
-  let full = Interp.count_states heavy in
-  let reduced = Interp.count_states ~por:true heavy in
+  let full = Explorer.count_states (full heavy) in
+  let reduced = Interp.count_states heavy in
   check_b
     (Printf.sprintf "POR explores fewer states (%d < %d)" reduced full)
     true (reduced < full)
 
 let test_local_predicate () =
-  let local = Thread_system.local_actions heavy in
+  let local = (Thread_system.make heavy).System.local in
+  check_b "start is local" true (local (st 0));
   check_b "private location is local" true (local (w "a1" 1));
   check_b "shared location is not" false (local (w "shared" 1));
   check_b "shared read is not" false (local (r "shared" 0));
@@ -47,8 +49,8 @@ let test_same_location_rmws_dependent () =
      ticket each thread gets.  If POR wrongly commuted them, one of the
      two print orders would disappear from the reduced exploration. *)
   let p = Litmus.program Corpus.atomic_faa_counter in
-  let full = Interp.behaviours p in
-  let reduced = Interp.behaviours ~por:true p in
+  let full = Explorer.behaviours (full p) in
+  let reduced = Interp.behaviours p in
   Alcotest.check behaviour_set "reduced = full on the faa counter" full
     reduced;
   check_b "both ticket orders survive POR" true
@@ -59,10 +61,10 @@ let test_all_shared () =
      always commute) are reduced; behaviours are untouched *)
   let sb = Litmus.program Corpus.sb in
   check_b "still some reduction from starts" true
-    (Interp.count_states ~por:true sb <= Interp.count_states sb);
+    (Interp.count_states sb <= Explorer.count_states (full sb));
   Alcotest.check behaviour_set "behaviours identical"
+    (Explorer.behaviours (full sb))
     (Interp.behaviours sb)
-    (Interp.behaviours ~por:true sb)
 
 let () =
   Alcotest.run "por"

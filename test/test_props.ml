@@ -197,8 +197,8 @@ let por_equivalence =
   test ~count:100 "POR preserves behaviours" Generators.program
     ~print:print_program (fun p ->
       Behaviour.Set.equal
-        (Interp.behaviours ~max_states:200_000 p)
-        (Interp.behaviours ~max_states:200_000 ~por:true p))
+        (Explorer.behaviours ~max_states:200_000 (Helpers.full p))
+        (Interp.behaviours ~max_states:200_000 p))
 
 let tso_includes_in_pso =
   test ~count:25 "TSO behaviours are PSO behaviours" Generators.program

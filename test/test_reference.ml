@@ -1,14 +1,15 @@
 (* The exploration that answers both SC questions at once
-   ([behaviours_and_drf]) against the naive reference enumerator
-   ([Reference]) and against the unreduced searches: behaviour sets and
-   DRF verdicts are equal at jobs 1, 2 and 4, on generated programs
-   (before and after a random registry pass), on the litmus corpus, and
-   on generated explicit tracesets, whose threads decline read values
-   and offer several steps at once. *)
+   ([behaviours_and_drf]) and the race witness search
+   ([find_adjacent_race]) against the naive reference enumerator
+   ([Reference]), and the full searches too: behaviour sets and DRF
+   verdicts are equal at jobs 1, 2 and 4, and every witness is an
+   execution whose only adjacent race is its last two actions.  The
+   cases are generated programs (before and after a random registry
+   pass), the litmus corpus, and generated explicit tracesets, whose
+   threads decline read values and offer several steps at once. *)
 
 open Safeopt_trace
 open Safeopt_exec
-open Safeopt_lang
 open Safeopt_gen
 open Safeopt_litmus
 module Pass = Safeopt_opt.Pass
@@ -17,54 +18,59 @@ module Pipeline = Safeopt_opt.Pipeline
 let pools =
   [ (1, None); (2, Some (Par.Pool.create 2)); (4, Some (Par.Pool.create 4)) ]
 
-(* The first answer that differs from the reference, if any.
-   [shared ?pool ()] is the exploration under test at one pool size;
-   [unreduced ()] the engine's unreduced behaviours, DRF verdict and
-   state count. *)
-let first_disagreement ~vol sys ~shared ~unreduced =
-  let bs_u, drf_u, states_u = unreduced () in
+(* The first answer that differs from the reference, if any.  [sys] is
+   the system as built (reduced for programs), [full] the same system
+   with no local action, and [execution i] says whether [i] is an
+   execution of it. *)
+let first_disagreement ~vol ~full ~execution sys =
   let bs, states = Reference.behaviours sys in
   let bs = Behaviour.Set.of_list bs in
   let drf = Reference.is_drf vol sys in
+  let witness what found =
+    [
+      (what ^ " DRF verdict", Option.is_none found = drf);
+      ( what ^ " witness",
+        match found with
+        | None -> true
+        | Some i ->
+            let n = Interleaving.length i in
+            execution i && Race.adjacent_race vol i = Some (n - 2, n - 1) );
+    ]
+  in
+  let s = Explorer.create_stats () in
+  let bs_full = Explorer.behaviours ~stats:s full in
   let checks =
     [
-      ("unreduced behaviours", Behaviour.Set.equal bs bs_u);
-      ("unreduced DRF verdict", drf = drf_u);
-      ("unreduced state count", states = states_u);
+      ("unreduced behaviours", Behaviour.Set.equal bs bs_full);
+      ("unreduced state count", states = s.Explorer.states);
     ]
+    @ witness "unreduced" (Explorer.find_adjacent_race vol full)
     @ List.concat_map
         (fun (jobs, pool) ->
-          let bs', drf' = shared ?pool () in
+          let bs', drf' = Explorer.behaviours_and_drf ?pool vol sys in
           [
             ( Printf.sprintf "shared behaviours at jobs %d" jobs,
               Behaviour.Set.equal bs bs' );
             (Printf.sprintf "shared DRF verdict at jobs %d" jobs, drf = drf');
-          ])
+          ]
+          @ witness
+              (Printf.sprintf "race search at jobs %d" jobs)
+              (Explorer.find_adjacent_race ?pool vol sys))
         pools
   in
   List.find_map (fun (what, ok) -> if ok then None else Some what) checks
 
-let unreduced behaviours is_drf () =
-  let s = Explorer.create_stats () in
-  let bs = behaviours s in
-  (bs, is_drf (), s.Explorer.states)
-
 let program_disagreement p =
-  first_disagreement ~vol:p.Ast.volatile (Thread_system.make p)
-    ~shared:(fun ?pool () -> Interp.behaviours_and_drf ?pool p)
-    ~unreduced:
-      (unreduced
-         (fun stats -> Interp.behaviours ~stats p)
-         (fun () -> Interp.is_drf p))
+  let sys = Safeopt_lang.Thread_system.make p in
+  first_disagreement ~vol:p.Safeopt_lang.Ast.volatile ~full:(Helpers.full p)
+    ~execution:(fun i -> Reference.replay sys i <> [])
+    sys
 
 let traceset_disagreement (ts, vol) =
   let sys = Traceset_system.make ts in
-  first_disagreement ~vol sys
-    ~shared:(fun ?pool () -> Explorer.behaviours_and_drf ?pool vol sys)
-    ~unreduced:
-      (unreduced
-         (fun stats -> Explorer.behaviours ~stats sys)
-         (fun () -> Explorer.is_drf vol sys))
+  first_disagreement ~vol ~full:sys
+    ~execution:(Interleaving.is_execution_of ts)
+    sys
 
 let rand () = Random.State.make [| 0x5afe2; 21 |]
 
