@@ -9,7 +9,9 @@ open Safeopt_trace
 open Safeopt_exec
 open Safeopt_lang
 open Safeopt_litmus
-module Clock = Safeopt_obs.Clock
+module Obs = Safeopt_obs
+module Clock = Obs.Clock
+module Json = Obs.Json
 module Model = Safeopt_model.Memory_model
 
 let vol0 = Location.Volatile.none
@@ -19,17 +21,20 @@ let vol0 = Location.Volatile.none
    and of the refine sweep's budget claim. *)
 let full p = { (Thread_system.make p) with System.local = (fun _ -> false) }
 
+(* Every broken claim is counted, and every mode exits 1 on any.  A
+   section's header starts its claim list: a mode's BENCH file carries
+   the claims printed since its header. *)
+let mismatches = ref 0
+let claims = ref []
+
 let hr fmt =
+  claims := [];
   Fmt.pr "@.=== %s ===@." (Fmt.str fmt)
 
-(* Every broken claim is counted; the gating modes exit 1 on any. *)
-let mismatches = ref 0
-
-let claim name expected actual =
-  if expected <> actual then incr mismatches;
-  Fmt.pr "  %-58s %s (expected %b, got %b)@." name
-    (if expected = actual then "OK" else "MISMATCH")
-    expected actual
+let claim name ok =
+  if not ok then incr mismatches;
+  claims := (name, Json.Bool ok) :: !claims;
+  Fmt.pr "  %-58s %s@." name (if ok then "OK" else "MISMATCH")
 
 let exit_on_mismatch () =
   if !mismatches > 0 then begin
@@ -52,11 +57,11 @@ let e1 () =
   Fmt.pr "  original behaviours:    %s@." (behaviours_str orig);
   Fmt.pr "  optimised behaviours:   %s@." (behaviours_str opt);
   Fmt.pr "  volatile behaviours:    %s@." (behaviours_str volp);
-  claim "original cannot print 1" true (not (Interp.can_output orig 1));
-  claim "optimised can print 1" true (Interp.can_output opt 1);
-  claim "original is racy (flags)" true (not (Interp.is_drf orig));
-  claim "volatile variant is DRF" true (Interp.is_drf volp);
-  claim "volatile variant still cannot print 1" true
+  claim "original cannot print 1" (not (Interp.can_output orig 1));
+  claim "optimised can print 1" (Interp.can_output opt 1);
+  claim "original is racy (flags)" (not (Interp.is_drf orig));
+  claim "volatile variant is DRF" (Interp.is_drf volp);
+  claim "volatile variant still cannot print 1"
     (not (Interp.can_output volp 1));
   (* the racy rewrite is a legitimate semantic elimination, the
      volatile one is not *)
@@ -67,11 +72,11 @@ let e1 () =
       ~universe
       ~transformed:(Denote.traceset ~universe ~max_len:12 p')
   in
-  claim "racy rewrite is a semantic elimination" true (elim orig opt);
+  claim "racy rewrite is a semantic elimination" (elim orig opt);
   let vol_opt =
     { opt with Ast.volatile = volp.Ast.volatile }
   in
-  claim "same rewrite on the volatile program is NOT an elimination" true
+  claim "same rewrite on the volatile program is NOT an elimination"
     (not (elim volp vol_opt))
 
 (* ------------------------------------------------------------------ *)
@@ -84,14 +89,14 @@ let e2 () =
   let trans = Litmus.program Corpus.fig1_transformed in
   Fmt.pr "  original behaviours:    %s@." (behaviours_str orig);
   Fmt.pr "  transformed behaviours: %s@." (behaviours_str trans);
-  claim "original cannot output 1 then 0" true
+  claim "original cannot output 1 then 0"
     (not (Behaviour.Set.mem [ 1; 0 ] (Interp.behaviours orig)));
-  claim "transformed can output 1 then 0" true
+  claim "transformed can output 1 then 0"
     (Behaviour.Set.mem [ 1; 0 ] (Interp.behaviours trans));
-  claim "both racy (no DRF guarantee violation)" true
+  claim "both racy (no DRF guarantee violation)"
     ((not (Interp.is_drf orig)) && not (Interp.is_drf trans));
   let universe = Denote.joint_universe [ orig; trans ] in
-  claim "transformed traceset is an elimination of the original" true
+  claim "transformed traceset is an elimination of the original"
     (Safeopt_core.Elimination.is_elimination vol0
        ~original:(Denote.traceset ~universe ~max_len:10 orig)
        ~universe
@@ -120,14 +125,14 @@ let e3 () =
   let trans = Litmus.program Corpus.fig2_transformed in
   Fmt.pr "  original behaviours:    %s@." (behaviours_str orig);
   Fmt.pr "  transformed behaviours: %s@." (behaviours_str trans);
-  claim "original cannot print 1" true (not (Interp.can_output orig 1));
-  claim "transformed can print 1" true (Interp.can_output trans 1);
+  claim "original cannot print 1" (not (Interp.can_output orig 1));
+  claim "transformed can print 1" (Interp.can_output trans 1);
   let universe = Denote.joint_universe [ orig; trans ] in
   let ts_o = Denote.traceset ~universe ~max_len:8 orig in
   let ts_t = Denote.traceset ~universe ~max_len:8 trans in
-  claim "NOT a reordering of the original traceset alone" true
+  claim "NOT a reordering of the original traceset alone"
     (not (Safeopt_core.Reorder.is_reordering vol0 ~original:ts_o ~transformed:ts_t));
-  claim "a reordering of an elimination of the original (sec. 4)" true
+  claim "a reordering of an elimination of the original (sec. 4)"
     (Safeopt_core.Reorder.is_reordering_of_oracle vol0
        ~mem:(fig2_elim_closure_mem ts_o universe)
        ~transformed:ts_t)
@@ -144,17 +149,17 @@ let e4 () =
   Fmt.pr "  (a) %s@.  (b) %s@.  (c) %s@." (behaviours_str a)
     (behaviours_str b) (behaviours_str c);
   let can00 p = Behaviour.Set.mem [ 0; 0 ] (Interp.behaviours p) in
-  claim "(a) DRF, cannot print two zeros" true
+  claim "(a) DRF, cannot print two zeros"
     (Interp.is_drf a && not (can00 a));
-  claim "(b) racy, still cannot print two zeros" true
+  claim "(b) racy, still cannot print two zeros"
     ((not (Interp.is_drf b)) && not (can00 b));
-  claim "(c) prints two zeros" true (can00 c);
+  claim "(c) prints two zeros" (can00 c);
   let b' = Safeopt_opt.Passes.introduce_irrelevant_reads a in
-  claim "(a)->(b): SC behaviours preserved, DRF destroyed" true
+  claim "(a)->(b): SC behaviours preserved, DRF destroyed"
     (Behaviour.Set.equal (Interp.behaviours a) (Interp.behaviours b')
     && not (Interp.is_drf b'));
   let c' = Safeopt_opt.Passes.eliminate_reads_across_acquires b in
-  claim "(b)->(c): cross-acquire elimination reproduces (c)" true
+  claim "(b)->(c): cross-acquire elimination reproduces (c)"
     (Behaviour.Set.equal (Interp.behaviours c) (Interp.behaviours c'))
 
 (* ------------------------------------------------------------------ *)
@@ -177,7 +182,7 @@ let e5 () =
     ]
   in
   let m = Safeopt_core.Reorder.matrix ~same_location:false in
-  claim "matrix matches the paper's table" true
+  claim "matrix matches the paper's table"
     (List.for_all2
        (fun row i -> List.for_all2 (fun e j -> m.(i).(j) = e) row (List.init 5 Fun.id) |> fun l -> l)
        expected (List.init 5 Fun.id))
@@ -225,7 +230,7 @@ let e6 () =
       Fmt.pr "  n=%d: %a  in T-bar: %b@." n Trace.pp t
         (Traceset.mem t fig4_t_bar))
     [ 4; 3; 2; 1; 0 ];
-  claim "f de-permutes t' into T-bar" true
+  claim "f de-permutes t' into T-bar"
     (Safeopt_core.Reorder.de_permutes vol0 fig4_f fig4_t' ~mem:(fun t ->
          Traceset.mem t fig4_t_bar))
 
@@ -269,13 +274,13 @@ let e7 () =
   | Some { Safeopt_core.Unelimination.wild; matching } ->
       Fmt.pr "  I' = %a@." Interleaving.pp fig5_i';
       Fmt.pr "  I  = %a@." Interleaving.Wild.pp wild;
-      claim "f maps index 2 to position 6 (paper's example)" true
+      claim "f maps index 2 to position 6 (paper's example)"
         (matching.(2) = 6);
-      claim "all four unelimination clauses hold" true
+      claim "all four unelimination clauses hold"
         (Safeopt_core.Unelimination.is_unelimination_function fig5_vol
            ~transformed:fig5_i' ~wild ~f:matching);
       let inst = Interleaving.Wild.instance wild in
-      claim "the instance is an execution of T with the same behaviour" true
+      claim "the instance is an execution of T with the same behaviour"
         (Interleaving.is_execution_of fig5_original_ts inst
         && Behaviour.equal
              (Interleaving.behaviour inst)
@@ -290,9 +295,9 @@ let e8 () =
   let p = Litmus.program Corpus.oota in
   let universe = [ 0; 42 ] in
   let ts = Denote.traceset ~universe ~max_len:8 p in
-  claim "no trace is an origin for 42" true
+  claim "no trace is an origin for 42"
     (not (Safeopt_core.Origin.traceset_has_origin 42 ts));
-  claim "no bounded execution mentions 42 (Lemma 3)" true
+  claim "no bounded execution mentions 42 (Lemma 3)"
     (Safeopt_core.Origin.check_lemma3 42 ts ~max_steps:2_000_000 = Ok ());
   let reachable =
     Safeopt_opt.Transform.reachable ~max_programs:500
@@ -300,7 +305,7 @@ let e8 () =
       p
   in
   Fmt.pr "  programs reachable via the rules: %d@." (List.length reachable);
-  claim "none can output 42 (Theorem 5)" true
+  claim "none can output 42 (Theorem 5)"
     (List.for_all (fun q -> not (Interp.can_output q 42)) reachable)
 
 (* ------------------------------------------------------------------ *)
@@ -319,7 +324,7 @@ let e9_check () =
 
 let e9 () =
   hr "E9: section 4 traceset elimination example";
-  claim "x:=1;print 1;lock;x:=1;unlock eliminates the long program" true
+  claim "x:=1;print 1;lock;x:=1;unlock eliminates the long program"
     (e9_check ())
 
 (* ------------------------------------------------------------------ *)
@@ -350,7 +355,7 @@ let e10 () =
       0 Corpus.all
   in
   Fmt.pr "  rule applications checked: %d@." total;
-  claim "every safe-rule application preserves the DRF guarantee" true
+  claim "every safe-rule application preserves the DRF guarantee"
     (e10_sweep ())
 
 let e11 () =
@@ -367,7 +372,7 @@ let e11 () =
           |> List.for_all (fun q -> not (Interp.can_output q fresh_value)))
       Corpus.all
   in
-  claim "23 never appears out of thin air across the corpus" true ok
+  claim "23 never appears out of thin air across the corpus" ok
 
 (* ------------------------------------------------------------------ *)
 (* E12: TSO                                                            *)
@@ -395,7 +400,7 @@ let e12 () =
       Corpus.fig3_a;
       Corpus.dekker_volatile;
     ];
-  claim "SB exhibits exactly the 0,0 weakness" true
+  claim "SB exhibits exactly the 0,0 weakness"
     (Behaviour.Set.equal
        (Model.weak_behaviours Model.Tso (Litmus.program Corpus.sb))
        (Behaviour.Set.singleton [ 0; 0 ]))
@@ -418,11 +423,11 @@ let e13 () =
         (Fmt.str "%a" Behaviour.Set.pp beyond)
         expl)
     [ Corpus.sb; Corpus.mp; Corpus.lb; Corpus.corr; Corpus.mp_volatile ];
-  claim "PSO weakens MP (write-write reordering), beyond TSO" true
+  claim "PSO weakens MP (write-write reordering), beyond TSO"
     (Behaviour.Set.mem [ 0 ]
        (Model.weak_behaviours ~than:Model.Tso Model.Pso
           (Litmus.program Corpus.mp)));
-  claim "MP's PSO weakness is explained by R-WW (+R-WR, E-RAW)" true
+  claim "MP's PSO weakness is explained by R-WW (+R-WR, E-RAW)"
     (Portability.explained_by_transformations Model.Pso
        (Litmus.program Corpus.mp))
 
@@ -442,7 +447,7 @@ let e14 () =
          else String.concat ", " promoted)
         (Safeopt_model.Robustness.is_robust p'))
     [ Corpus.sb; Corpus.mp; Corpus.lb; Corpus.mp_locked ];
-  claim "every enforced corpus program is TSO-robust" true
+  claim "every enforced corpus program is TSO-robust"
     (List.for_all
        (fun t ->
          let p', _ = Safeopt_model.Robustness.enforce (Litmus.program t) in
@@ -504,7 +509,7 @@ let p2 () =
       Fmt.pr "  %dt x %d private     %-14d %-12d %.1fx@." n k states por
         (float_of_int states /. float_of_int (max 1 por)))
     [ (2, 2); (2, 4); (3, 2); (3, 3) ];
-  claim "POR preserves behaviours on the ablation programs" true
+  claim "POR preserves behaviours on the ablation programs"
     (List.for_all
        (fun (n, k) ->
          let p = private_work_program n k in
@@ -527,10 +532,10 @@ let p2 () =
    the claim below is a regression gate against it. *)
 let baseline_pre_arena =
   [
-    ("count_states", (1.0528, 102520));
-    ("count_states_por", (0.9260, 92240));
-    ("behaviours", (1.1420, 2240));
-    ("behaviours_por", (1.0224, 2240));
+    ("count_states", 1.0528);
+    ("count_states_por", 0.9260);
+    ("behaviours", 1.1420);
+    ("behaviours_por", 1.0224);
   ]
 
 (* Wall-clock timing on the monotonic clock (Clock): immune to system
@@ -540,38 +545,78 @@ let time f =
   let r = f () in
   (r, Clock.elapsed t0)
 
-(* Benchmark JSON must never carry NaN / infinity (division by a zero
-   wall): refuse to emit the file instead of publishing garbage. *)
-let rate_or_die ~what num den =
-  let r = num /. den in
-  if den <= 0. || not (Float.is_finite r) then begin
+(* [reps] rounds of [f] over [xs], summed: a workload's work units. *)
+let sum_reps reps xs f =
+  let acc = ref 0 in
+  for _ = 1 to reps do
+    List.iter (fun x -> acc := !acc + f x) xs
+  done;
+  !acc
+
+(* One BENCH file's record, the only shape `drfopt bench diff` reads:
+   [experiments] are the timed workloads it compares by rate, [claims]
+   the claims printed since the mode's header, and [detail] everything
+   it does not compare.  An experiment's rate is work units per second,
+   so a quick run compares with a full one; [extra] figures ride along.
+   The record must never carry NaN or infinity (a rate over a zero
+   wall): the writer refuses to emit it instead of publishing garbage. *)
+let experiment ?(extra = []) name ~total wall =
+  Json.Obj
+    ([
+       ("name", Json.String name);
+       ("wall_s", Json.Float wall);
+       ("units_per_sec", Json.Float (float_of_int total /. wall));
+       ("total", Json.Int total);
+     ]
+    @ extra)
+
+let rec finite = function
+  | Json.Float f -> Float.is_finite f
+  | Json.List l -> List.for_all finite l
+  | Json.Obj fields -> List.for_all (fun (_, v) -> finite v) fields
+  | _ -> true
+
+let write_bench ~mode ~quick experiments detail =
+  let file = "BENCH_" ^ mode ^ ".json" in
+  let record =
+    Json.Obj
+      [
+        ("schema", Json.String "bench/v3");
+        ("mode", Json.String mode);
+        ("quick", Json.Bool quick);
+        ("experiments", Json.List experiments);
+        ("claims", Json.Obj (List.rev !claims));
+        ("detail", Json.Obj detail);
+      ]
+  in
+  if not (finite record) then begin
     Fmt.epr
-      "bench: refusing to emit %s: non-finite rate (%f / %f); the workload \
-       completed too fast to time@."
-      what num den;
+      "bench: refusing to emit %s: a non-finite figure; a workload completed \
+       too fast to time@."
+      file;
     exit 1
   end;
-  r
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc (Json.to_lines record);
+      output_char oc '\n');
+  Fmt.pr "  wrote %s@." file
 
-(* Per-phase wall-time breakdowns for the BENCH_* files: the benchmark
-   runs under a Memory tracer sink (entry-point spans only, a few
-   events per exploration — negligible next to the workloads), and the
-   stopped event buffer folds into a {"phase": {count, wall_s}} object
-   via the same aggregation [drfopt report] uses. *)
-module Obs = Safeopt_obs
-
+(* Per-phase breakdowns for the BENCH_* files: the benchmark runs under
+   a Memory tracer sink (entry-point spans only, a few events per
+   exploration — negligible next to the workloads), and the stopped
+   event buffer folds into the phase rows [drfopt report] prints. *)
 let phases_json events =
-  let t = Obs.Report.aggregate events in
-  let rows =
-    List.map
-      (fun (name, count, wall) ->
-        Printf.sprintf "    %S: {\"count\": %d, \"wall_s\": %.6f}" name count
-          wall)
-      (Obs.Report.phase_walls t)
-  in
-  match rows with
-  | [] -> "{}"
-  | _ -> "{\n" ^ String.concat ",\n" rows ^ "\n  }"
+  Json.List
+    (List.map
+       (fun (a : Obs.Profile.agg) ->
+         Json.Obj
+           [
+             ("name", Json.String a.a_name);
+             ("count", Json.Int a.a_count);
+             ("wall_s", Json.Float a.a_total);
+             ("self_s", Json.Float a.a_self);
+           ])
+       (Obs.Report.aggregate events).Obs.Report.phases)
 
 (* [quick] runs a quarter of the reps — the CI smoke mode behind
    `drfopt bench diff`.  The fixed pre-arena anchor walls are scaled by
@@ -588,23 +633,11 @@ let explore_bench ?(quick = false) () =
   let reps = if quick then 5 else 20 in
   let scale_anchor w = w *. float_of_int reps /. 20. in
   let count_run system () =
-    let acc = ref 0 in
-    for _ = 1 to reps do
-      List.iter
-        (fun p -> acc := !acc + Explorer.count_states (system p))
-        programs
-    done;
-    !acc
+    sum_reps reps programs (fun p -> Explorer.count_states (system p))
   in
   let beh_run system () =
-    let acc = ref 0 in
-    for _ = 1 to reps do
-      List.iter
-        (fun p ->
-          acc := !acc + Behaviour.Set.cardinal (Explorer.behaviours (system p)))
-        programs
-    done;
-    !acc
+    sum_reps reps programs (fun p ->
+        Behaviour.Set.cardinal (Explorer.behaviours (system p)))
   in
   let reduced p = Thread_system.make p in
   let experiments =
@@ -626,62 +659,33 @@ let explore_bench ?(quick = false) () =
           (Interp.behaviours ~stats p))
       programs
   in
+  let base_wall name = scale_anchor (List.assoc name baseline_pre_arena) in
+  let speedup name = base_wall name /. snd (List.assoc name experiments) in
   Fmt.pr "  %-18s %-10s %-12s %-14s %s@." "experiment" "total" "wall (s)"
     "units/s" "speedup";
   let rows =
     List.map
       (fun (name, (total, wall)) ->
-        let base_wall, _ = List.assoc name baseline_pre_arena in
-        let base_wall = scale_anchor base_wall in
-        let speedup =
-          rate_or_die ~what:("BENCH_explore.json " ^ name) base_wall wall
-        in
-        let per_sec =
-          rate_or_die
-            ~what:("BENCH_explore.json " ^ name)
-            (float_of_int total) wall
-        in
-        Fmt.pr "  %-18s %-10d %-12.4f %-14.0f %.2fx@." name total wall per_sec
-          speedup;
-        Printf.sprintf
-          "    {\"name\": %S, \"total\": %d, \"wall_s\": %.4f, \
-           \"units_per_sec\": %.0f, \"baseline_wall_s\": %.4f, \"speedup\": \
-           %.2f}"
-          name total wall per_sec base_wall speedup)
+        Fmt.pr "  %-18s %-10d %-12.4f %-14.0f %.2fx@." name total wall
+          (float_of_int total /. wall) (speedup name);
+        experiment name ~total wall
+          ~extra:
+            [
+              ("baseline_wall_s", Json.Float (base_wall name));
+              ("speedup", Json.Float (speedup name));
+            ])
       experiments
   in
-  claim "POR-reduced and full behaviour sets identical on the corpus" true
-    identical;
-  claim "count_states no slower than the pre-packed-arena baseline" true
-    (let _, wall = List.assoc "count_states" experiments in
-     scale_anchor (fst (List.assoc "count_states" baseline_pre_arena)) /. wall
-     >= 0.9);
-  let phases = phases_json (Obs.Tracer.stop ()) in
-  let json =
-    String.concat "\n"
-      ([
-         "{";
-         "  \"schema\": \"bench_explore/v2\",";
-         Printf.sprintf "  \"quick\": %b," quick;
-         Printf.sprintf "  \"reps\": %d," reps;
-         Printf.sprintf "  \"programs\": %d," (List.length programs);
-         "  \"experiments\": [";
-       ]
-      @ [ String.concat ",\n" rows ]
-      @ [
-          "  ],";
-          Printf.sprintf "  \"phases\": %s," phases;
-          Printf.sprintf "  \"por_behaviour_sets_identical\": %b," identical;
-          Printf.sprintf "  \"explorer_stats\": %s"
-            (Explorer.stats_to_json stats);
-          "}";
-        ])
-  in
-  let oc = open_out "BENCH_explore.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Fmt.pr "  wrote BENCH_explore.json@."
+  claim "POR-reduced and full behaviour sets identical on the corpus" identical;
+  claim "count_states no slower than the pre-packed-arena baseline"
+    (speedup "count_states" >= 0.9);
+  write_bench ~mode:"explore" ~quick rows
+    [
+      ("reps", Json.Int reps);
+      ("programs", Json.Int (List.length programs));
+      ("phases", phases_json (Obs.Tracer.stop ()));
+      ("explorer_stats", Json.Obj (Explorer.stats_fields stats));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* P4: pass-manager pipeline benchmark -> BENCH_pipeline.json          *)
@@ -719,60 +723,39 @@ let pipeline_bench ?(quick = false) () =
           Pipeline.run ~validate_each:true ~validator:Validate.Exhaustive
             safe_spec p
         in
-        let sites =
+        let sites, states, vwall =
           List.fold_left
-            (fun n ps -> n + List.length ps.Pipeline.ps_sites)
-            0 o.Pipeline.steps
-        in
-        let states =
-          List.fold_left
-            (fun n ps -> n + ps.Pipeline.ps_explorer.Explorer.states)
-            0 o.Pipeline.steps
-        in
-        let vwall =
-          List.fold_left
-            (fun w ps -> w +. ps.Pipeline.ps_validation_wall)
-            0. o.Pipeline.steps
+            (fun (n, s, w) ps ->
+              ( n + List.length ps.Pipeline.ps_sites,
+                s + ps.Pipeline.ps_explorer.Explorer.states,
+                w +. ps.Pipeline.ps_validation_wall ))
+            (0, 0, 0.) o.Pipeline.steps
         in
         let rejected = Option.is_some o.Pipeline.failure in
         Fmt.pr "  %-24s %2d sites, %5d states, %7.2f ms validation%s@."
           l.Litmus.name sites states (vwall *. 1000.)
           (if rejected then "  REJECTED" else "");
         ( rejected,
-          Printf.sprintf
-            "    {\"name\": %S, \"sites\": %d, \"validation_states\": %d, \
-             \"validation_wall_s\": %.6f, \"rejected\": %b}"
-            l.Litmus.name sites states vwall rejected ))
+          Json.Obj
+            [
+              ("name", Json.String l.Litmus.name);
+              ("sites", Json.Int sites);
+              ("validation_states", Json.Int states);
+              ("validation_wall_s", Json.Float vwall);
+              ("rejected", Json.Bool rejected);
+            ] ))
       corpus
   in
   let wall = Clock.elapsed t0 in
-  let phases = phases_json (Obs.Tracer.stop ()) in
-  let none_rejected = List.for_all (fun (r, _) -> not r) rows in
-  claim "no safe pipeline rejected on the corpus" true none_rejected;
-  let json =
-    String.concat "\n"
-      ([
-         "{";
-         "  \"schema\": \"bench_pipeline/v1\",";
-         Printf.sprintf "  \"quick\": %b," quick;
-         Printf.sprintf "  \"pipeline\": %S," safe_pipeline;
-         Printf.sprintf "  \"programs\": %d," (List.length corpus);
-         Printf.sprintf "  \"wall_s\": %.4f," wall;
-         Printf.sprintf "  \"phases\": %s," phases;
-         "  \"per_program\": [";
-       ]
-      @ [ String.concat ",\n" (List.map snd rows) ]
-      @ [
-          "  ],";
-          Printf.sprintf "  \"all_validated\": %b" none_rejected;
-          "}";
-        ])
-  in
-  let oc = open_out "BENCH_pipeline.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Fmt.pr "  wrote BENCH_pipeline.json@."
+  claim "no safe pipeline rejected on the corpus"
+    (List.for_all (fun (r, _) -> not r) rows);
+  write_bench ~mode:"pipeline" ~quick
+    [ experiment "corpus" ~total:(List.length corpus) wall ]
+    [
+      ("pipeline", Json.String safe_pipeline);
+      ("phases", phases_json (Obs.Tracer.stop ()));
+      ("per_program", Json.List (List.map snd rows));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* P5: domain-parallel exploration -> BENCH_parallel.json              *)
@@ -791,11 +774,11 @@ let pipeline_bench ?(quick = false) () =
 
    Speedups are figures, not claims: they are bounded by the host's
    core count, and on the corpus's small explorations two domains
-   mostly measure their own start-up.  The JSON records both the
-   requested and the effective parallelism, and on a host with fewer
-   than 2 cores it carries ["degraded": true] — the speedup figures of
-   such a run measure scheduling overhead, not scaling, and trajectory
-   tooling must not read them as regressions. *)
+   mostly measure their own start-up.  The record's detail holds both
+   the requested and the effective parallelism, and on a host with
+   fewer than 2 cores it carries ["degraded": true] — the pool rates
+   and speedups of such a run measure scheduling overhead, not
+   scaling. *)
 let parallel_bench ?(quick = false) ~jobs () =
   let jobs_requested = Par.resolve_jobs jobs in
   hr "P5: work-stealing parallel exploration -> BENCH_parallel.json";
@@ -812,62 +795,41 @@ let parallel_bench ?(quick = false) ~jobs () =
   let all = programs @ big in
   Par.Pool.with_pool jobs_requested (fun pool ->
       let beh ?pool () =
-        let acc = ref 0 in
-        for _ = 1 to reps do
-          List.iter
-            (fun p ->
-              acc := !acc + Behaviour.Set.cardinal (Interp.behaviours ?pool p))
-            all
-        done;
-        !acc
+        sum_reps reps all (fun p ->
+            Behaviour.Set.cardinal (Interp.behaviours ?pool p))
       in
       let count ?pool () =
-        let acc = ref 0 in
-        for _ = 1 to reps do
-          List.iter (fun p -> acc := !acc + Interp.count_states ?pool p) all
-        done;
-        !acc
+        sum_reps reps all (fun p -> Interp.count_states ?pool p)
       in
       let litmus ?pool () =
-        let acc = ref 0 in
-        for _ = 1 to reps do
-          List.iter
-            (fun o -> if Litmus.passed o then incr acc)
-            (Litmus.check_all ?pool Corpus.all)
-        done;
-        !acc
+        sum_reps reps [ Corpus.all ] (fun tests ->
+            List.length
+              (List.filter Litmus.passed (Litmus.check_all ?pool tests)))
       in
+      Fmt.pr "  %-18s %-10s %-12s %-12s %s@." "experiment" "total" "seq (s)"
+        "par (s)" "speedup";
+      (* each side is its own experiment; the pool side carries the
+         speedup *)
       let experiments =
         List.map
           (fun (name, (f : ?pool:Par.Pool.t -> unit -> int)) ->
             let rseq, wseq = time (fun () -> f ?pool:None ()) in
             let rpar, wpar = time (fun () -> f ~pool ()) in
-            (name, rseq, wseq, rpar, wpar))
+            Fmt.pr "  %-18s %-10d %-12.4f %-12.4f %.2fx@." name rseq wseq wpar
+              (wseq /. wpar);
+            ( rseq = rpar,
+              [
+                experiment (name ^ "/sequential") ~total:rseq wseq;
+                experiment (name ^ "/pool") ~total:rpar wpar
+                  ~extra:[ ("speedup", Json.Float (wseq /. wpar)) ];
+              ] ))
           [
             ("behaviours", beh);
             ("count_states", count);
             ("litmus_corpus", litmus);
           ]
       in
-      Fmt.pr "  %-18s %-10s %-12s %-12s %s@." "experiment" "total" "seq (s)"
-        "par (s)" "speedup";
-      let rows =
-        List.map
-          (fun (name, rseq, wseq, rpar, wpar) ->
-            let speedup =
-              rate_or_die ~what:("BENCH_parallel.json " ^ name) wseq wpar
-            in
-            Fmt.pr "  %-18s %-10d %-12.4f %-12.4f %.2fx@." name rseq wseq wpar
-              speedup;
-            Printf.sprintf
-              "    {\"name\": %S, \"total\": %d, \"seq_wall_s\": %.4f, \
-               \"par_wall_s\": %.4f, \"speedup\": %.2f, \"totals_equal\": %b}"
-              name rseq wseq wpar speedup (rseq = rpar))
-          experiments
-      in
-      let totals_equal =
-        List.for_all (fun (_, rseq, _, rpar, _) -> rseq = rpar) experiments
-      in
+      let totals_equal = List.for_all fst experiments in
       let identical =
         List.for_all
           (fun p ->
@@ -907,55 +869,30 @@ let parallel_bench ?(quick = false) ~jobs () =
                         (fun p -> ignore (Interp.count_states ~pool:pl p))
                         all)
                 in
-                let sp =
-                  rate_or_die
-                    ~what:
-                      (Printf.sprintf "BENCH_parallel.json scaling jobs %d" j)
-                    w1 wj
-                in
-                Fmt.pr "  scaling: jobs %d -> %.4f s (%.2fx)@." j wj sp;
-                Printf.sprintf
-                  "    {\"jobs\": %d, \"wall_s\": %.4f, \"speedup\": %.2f}" j
-                  wj sp))
+                Fmt.pr "  scaling: jobs %d -> %.4f s (%.2fx)@." j wj (w1 /. wj);
+                Json.Obj
+                  [
+                    ("jobs", Json.Int j);
+                    ("wall_s", Json.Float wj);
+                    ("speedup", Json.Float (w1 /. wj));
+                  ]))
           curve_points
       in
-      claim "parallel totals equal sequential totals" true totals_equal;
-      claim "parallel and sequential behaviour sets identical" true identical;
-      claim "reduced state counts identical across jobs" true states_parity;
-      let json =
-        String.concat "\n"
-          ([
-             "{";
-             "  \"schema\": \"bench_parallel/v2\",";
-             Printf.sprintf "  \"quick\": %b," quick;
-             Printf.sprintf "  \"jobs_requested\": %d," jobs_requested;
-             Printf.sprintf "  \"jobs_effective\": %d," jobs_effective;
-             Printf.sprintf "  \"host_cores\": %d," host_cores;
-             Printf.sprintf "  \"degraded\": %b," degraded;
-             Printf.sprintf "  \"reps\": %d," reps;
-             Printf.sprintf "  \"programs\": %d," (List.length all);
-             Printf.sprintf "  \"steals\": %d," pstats.Explorer.steals;
-             Printf.sprintf "  \"lock_waits\": %d," pstats.Explorer.lock_waits;
-             "  \"experiments\": [";
-           ]
-          @ [ String.concat ",\n" rows ]
-          @ [ "  ],"; "  \"scaling\": [" ]
-          @ [ String.concat ",\n" curve ]
-          @ [
-              "  ],";
-              Printf.sprintf "  \"parallel_totals_equal\": %b," totals_equal;
-              Printf.sprintf "  \"parallel_states_identical\": %b,"
-                states_parity;
-              Printf.sprintf "  \"parallel_behaviour_sets_identical\": %b"
-                identical;
-              "}";
-            ])
-      in
-      let oc = open_out "BENCH_parallel.json" in
-      output_string oc json;
-      output_char oc '\n';
-      close_out oc;
-      Fmt.pr "  wrote BENCH_parallel.json@.")
+      claim "parallel totals equal sequential totals" totals_equal;
+      claim "parallel and sequential behaviour sets identical" identical;
+      claim "reduced state counts identical across jobs" states_parity;
+      write_bench ~mode:"parallel" ~quick (List.concat_map snd experiments)
+        [
+          ("jobs_requested", Json.Int jobs_requested);
+          ("jobs_effective", Json.Int jobs_effective);
+          ("host_cores", Json.Int host_cores);
+          ("degraded", Json.Bool degraded);
+          ("reps", Json.Int reps);
+          ("programs", Json.Int (List.length all));
+          ("steals", Json.Int pstats.Explorer.steals);
+          ("lock_waits", Json.Int pstats.Explorer.lock_waits);
+          ("scaling", Json.List curve);
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* P6: thread-local refinement validator -> BENCH_refine.json          *)
@@ -1059,23 +996,27 @@ let ladder_sweep tests =
     (l.auto_wall *. 1000.) (l.exh_wall *. 1000.);
   l
 
-(* The ladder's JSON fields, from "validations" to "all_verdicts_agree". *)
-let ladder_json l =
-  [
-    Printf.sprintf "  \"validations\": %d," l.validations;
-    Printf.sprintf "  \"static_hits\": %d," l.static_hits;
-    Printf.sprintf "  \"refine_hits\": %d," l.refine_hits;
-    Printf.sprintf "  \"refine_misses\": %d," l.refine_misses;
-    Printf.sprintf "  \"exhaustive_runs\": %d," l.exhaustive_runs;
-    Printf.sprintf "  \"fast_path_rate\": %.3f,"
-      (if l.validations = 0 then 0.
-       else
-         float_of_int (l.static_hits + l.refine_hits)
-         /. float_of_int l.validations);
-    Printf.sprintf "  \"auto_wall_s\": %.4f," l.auto_wall;
-    Printf.sprintf "  \"exhaustive_wall_s\": %.4f," l.exh_wall;
-    Printf.sprintf "  \"all_verdicts_agree\": %b," l.all_agree;
-  ]
+(* The ladder's two timed sweeps over [programs] tests, and its counts
+   for the record's detail. *)
+let ladder_json ~programs l =
+  ( [
+      experiment "auto_sweep" ~total:programs l.auto_wall;
+      experiment "exhaustive_sweep" ~total:programs l.exh_wall;
+    ],
+    [
+      ("pipeline", Json.String safe_pipeline);
+      ("validations", Json.Int l.validations);
+      ("static_hits", Json.Int l.static_hits);
+      ("refine_hits", Json.Int l.refine_hits);
+      ("refine_misses", Json.Int l.refine_misses);
+      ("exhaustive_runs", Json.Int l.exhaustive_runs);
+      ( "fast_path_rate",
+        Json.Float
+          (if l.validations = 0 then 0.
+           else
+             float_of_int (l.static_hits + l.refine_hits)
+             /. float_of_int l.validations) );
+    ] )
 
 (* Two halves, both feeding BENCH_refine.json:
 
@@ -1101,11 +1042,11 @@ let refine_bench ?(quick = false) () =
     if quick then List.filteri (fun i _ -> i < 6) Corpus.all else Corpus.all
   in
   let l = ladder_sweep corpus in
-  claim "auto and exhaustive pipeline verdicts agree on the corpus" true
+  claim "auto and exhaustive pipeline verdicts agree on the corpus"
     l.all_agree;
-  claim "majority of validations decided without interleavings" true
+  claim "majority of validations decided without interleavings"
     (2 * (l.static_hits + l.refine_hits) > l.validations);
-  claim "auto costs at most twice exhaustive plus 10 ms" true
+  claim "auto costs at most twice exhaustive plus 10 ms"
     (l.auto_wall <= (2. *. l.exh_wall) +. 0.01);
   (* scaling: refinement answers where enumeration exceeds its budget *)
   let state_budget = 200_000 in
@@ -1128,28 +1069,29 @@ let refine_bench ?(quick = false) () =
                   Validate.validate ~max_states:state_budget ~original:p
                     ~transformed:p' ()
                 in
-                if Validate.ok rep then `Ok else `Failed
-              with Explorer.Too_many_states s -> `Budget s)
-        in
-        let exh_str =
-          match exh with
-          | `Ok -> "ok"
-          | `Failed -> "FAILED"
-          | `Budget s -> Printf.sprintf "exceeded budget (%d states)" s
+                if Validate.ok rep then "ok" else "failed"
+              with Explorer.Too_many_states s ->
+                Printf.sprintf "budget_exceeded:%d" s)
         in
         Fmt.pr "  %-8d %-14.2f %-12s %-22s@." n (rwall *. 1000.)
           (if safe then "safe" else "NOT SAFE")
-          exh_str;
-        (n, safe, rwall, exh, ewall))
+          exh;
+        ( safe,
+          exh = (if safe then "ok" else "failed"),
+          Json.Obj
+            [
+              ("threads", Json.Int n);
+              ("refine_safe", Json.Bool safe);
+              ("refine_wall_s", Json.Float rwall);
+              ("exhaustive", Json.String exh);
+              ("exhaustive_wall_s", Json.Float ewall);
+            ] ))
       [ 2; 4; 8 ]
   in
-  claim "refinement validates every scaling point" true
-    (List.for_all (fun (_, safe, _, _, _) -> safe) scaling);
+  claim "refinement validates every scaling point"
+    (List.for_all (fun (safe, _, _) -> safe) scaling);
   claim "exhaustive validation agrees with refinement at every scaling point"
-    true
-    (List.for_all
-       (fun (_, safe, _, exh, _) -> exh = if safe then `Ok else `Failed)
-       scaling);
+    (List.for_all (fun (_, agree, _) -> agree) scaling);
   let unreduced_exceeds, unreduced =
     match
       Explorer.count_states ~max_states:state_budget
@@ -1160,54 +1102,27 @@ let refine_bench ?(quick = false) () =
         (true, Printf.sprintf "budget_exceeded:%d" s)
   in
   Fmt.pr "  unreduced enumeration at 8 threads: %s@." unreduced;
-  claim "unreduced enumeration exceeds the state budget at 8 threads" true
+  claim "unreduced enumeration exceeds the state budget at 8 threads"
     unreduced_exceeds;
-  let scaling_rows =
-    List.map
-      (fun (n, safe, rwall, exh, ewall) ->
-        Printf.sprintf
-          "    {\"threads\": %d, \"refine_safe\": %b, \"refine_wall_s\": \
-           %.6f, \"exhaustive\": %S, \"exhaustive_wall_s\": %.6f}"
-          n safe rwall
-          (match exh with
-          | `Ok -> "ok"
-          | `Failed -> "failed"
-          | `Budget s -> Printf.sprintf "budget_exceeded:%d" s)
-          ewall)
-      scaling
-  in
-  let corpus_rows =
-    List.map
-      (fun (name, v, agree) ->
-        Printf.sprintf "    {\"name\": %S, \"verdict\": %S, \"agree\": %b}"
-          name v agree)
-      l.agreements
-  in
-  let json =
-    String.concat "\n"
-      ([
-         "{";
-         "  \"schema\": \"bench_refine/v1\",";
-         Printf.sprintf "  \"quick\": %b," quick;
-         Printf.sprintf "  \"pipeline\": %S," safe_pipeline;
-         Printf.sprintf "  \"programs\": %d," (List.length corpus);
-       ]
-      @ ladder_json l
-      @ [
-          Printf.sprintf "  \"state_budget\": %d," state_budget;
-          Printf.sprintf "  \"unreduced_8_threads\": %S," unreduced;
-          "  \"corpus\": [";
-        ]
-      @ [ String.concat ",\n" corpus_rows ]
-      @ [ "  ],"; "  \"scaling\": [" ]
-      @ [ String.concat ",\n" scaling_rows ]
-      @ [ "  ]"; "}" ])
-  in
-  let oc = open_out "BENCH_refine.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Fmt.pr "  wrote BENCH_refine.json@."
+  let experiments, ladder = ladder_json ~programs:(List.length corpus) l in
+  write_bench ~mode:"refine" ~quick experiments
+    (ladder
+    @ [
+        ("state_budget", Json.Int state_budget);
+        ("unreduced_8_threads", Json.String unreduced);
+        ( "corpus",
+          Json.List
+            (List.map
+               (fun (name, v, agree) ->
+                 Json.Obj
+                   [
+                     ("name", Json.String name);
+                     ("verdict", Json.String v);
+                     ("agree", Json.Bool agree);
+                   ])
+               l.agreements) );
+        ("scaling", Json.List (List.map (fun (_, _, row) -> row) scaling));
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* P7: the lock-free atomic pack -> BENCH_rmw.json                     *)
@@ -1245,52 +1160,41 @@ let rmw_bench () =
         (l.Litmus.name, ok, wall))
       lock_free_pack
   in
-  claim "every lock-free scenario passes its expectations" true
+  claim "every lock-free scenario passes its expectations"
     (List.for_all (fun (_, ok, _) -> ok) walls);
   let sb_x = Litmus.program Corpus.atomic_sb_xchg in
-  let tso_flush =
-    Behaviour.Set.is_empty (Model.weak_behaviours Model.Tso sb_x)
-  in
-  let pso_flush =
-    Behaviour.Set.is_empty (Model.weak_behaviours Model.Pso sb_x)
-  in
-  claim "SB-with-xchg has no relaxed TSO outcome (buffer flushed)" true
-    tso_flush;
-  claim "nor under PSO (all per-location buffers flushed)" true pso_flush;
+  claim "SB-with-xchg has no relaxed TSO outcome (buffer flushed)"
+    (Behaviour.Set.is_empty (Model.weak_behaviours Model.Tso sb_x));
+  claim "nor under PSO (all per-location buffers flushed)"
+    (Behaviour.Set.is_empty (Model.weak_behaviours Model.Pso sb_x));
   let l = ladder_sweep lock_free_pack in
-  claim "auto and exhaustive pipeline verdicts agree on the pack" true
+  claim "auto and exhaustive pipeline verdicts agree on the pack"
     l.all_agree;
-  claim "no atomic-bearing rewrite is decided by the refine rung" true
+  claim "no atomic-bearing rewrite is decided by the refine rung"
     (l.refine_hits = 0 || l.validations > l.refine_hits);
-  let scenario_rows =
-    List.map2
-      (fun (name, ok, wall) (_, v, agree) ->
-        Printf.sprintf
-          "    {\"name\": %S, \"litmus_ok\": %b, \"litmus_wall_s\": %.6f, \
-           \"pipeline_verdict\": %S, \"ladder_agrees\": %b}"
-          name ok wall v agree)
-      walls l.agreements
+  let experiments, ladder =
+    ladder_json ~programs:(List.length lock_free_pack) l
   in
-  let json =
-    String.concat "\n"
-      ([
-         "{";
-         "  \"schema\": \"bench_rmw/v1\",";
-         Printf.sprintf "  \"pipeline\": %S," safe_pipeline;
-         Printf.sprintf "  \"scenarios\": %d," (List.length lock_free_pack);
-         Printf.sprintf "  \"tso_flush\": %b," tso_flush;
-         Printf.sprintf "  \"pso_flush\": %b," pso_flush;
-       ]
-      @ ladder_json l
-      @ [ "  \"scenarios_detail\": [" ]
-      @ [ String.concat ",\n" scenario_rows ]
-      @ [ "  ]"; "}" ])
-  in
-  let oc = open_out "BENCH_rmw.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Fmt.pr "  wrote BENCH_rmw.json@."
+  write_bench ~mode:"rmw" ~quick:false
+    (experiment "litmus_pack" ~total:(List.length walls)
+       (List.fold_left (fun acc (_, _, w) -> acc +. w) 0. walls)
+    :: experiments)
+    (ladder
+    @ [
+        ( "scenarios",
+          Json.List
+            (List.map2
+               (fun (name, ok, wall) (_, v, agree) ->
+                 Json.Obj
+                   [
+                     ("name", Json.String name);
+                     ("litmus_ok", Json.Bool ok);
+                     ("litmus_wall_s", Json.Float wall);
+                     ("pipeline_verdict", Json.String v);
+                     ("ladder_agrees", Json.Bool agree);
+                   ])
+               walls l.agreements) );
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* P8: pass x memory-model portability -> BENCH_portability.json       *)
@@ -1345,59 +1249,50 @@ let portability_bench ?(quick = false) () =
   Fmt.pr "  SC-safe but TSO-unsafe passes: %a@."
     Fmt.(list ~sep:(any ", ") string)
     sc_safe_tso_unsafe;
-  claim "some pass is safe under SC but unsafe under TSO" true
+  claim "some pass is safe under SC but unsafe under TSO"
     (sc_safe_tso_unsafe <> []);
-  claim "every weak-model unsafe cell's witness replays from scratch" true
+  claim "every weak-model unsafe cell's witness replays from scratch"
     weak_unsafe_replayed;
   let cell_rows =
     List.map
       (fun (c : Portability.cell) ->
-        let extra =
+        let evidence =
           match c.Portability.c_verdict with
           | Portability.Unsafe u ->
-              Printf.sprintf ", \"test\": %S, \"behaviour\": %S, \
-                              \"replayed\": %b"
-                u.Portability.u_test
-                (match u.Portability.u_behaviour with
-                | Some b -> Fmt.str "%a" Behaviour.pp b
-                | None -> "")
-                u.Portability.u_replayed
-          | _ -> ""
+              [
+                ("test", Json.String u.Portability.u_test);
+                ( "behaviour",
+                  Json.String
+                    (match u.Portability.u_behaviour with
+                    | Some b -> Fmt.str "%a" Behaviour.pp b
+                    | None -> "") );
+                ("replayed", Json.Bool u.Portability.u_replayed);
+              ]
+          | _ -> []
         in
-        Printf.sprintf
-          "    {\"pass\": %S, \"model\": %S, \"verdict\": %S, \"checked\": \
-           %d%s}"
-          c.Portability.c_pass
-          (Safeopt_model.Memory_model.name c.Portability.c_model)
-          (Portability.verdict_tag c.Portability.c_verdict)
-          c.Portability.c_checked extra)
+        Json.Obj
+          ([
+             ("pass", Json.String c.Portability.c_pass);
+             ( "model",
+               Json.String
+                 (Safeopt_model.Memory_model.name c.Portability.c_model) );
+             ( "verdict",
+               Json.String (Portability.verdict_tag c.Portability.c_verdict) );
+             ("checked", Json.Int c.Portability.c_checked);
+           ]
+          @ evidence))
       m.Portability.cells
   in
-  let json =
-    String.concat "\n"
-      ([
-         "{";
-         "  \"schema\": \"bench_portability/v1\",";
-         Printf.sprintf "  \"quick\": %b," quick;
-         Printf.sprintf "  \"passes\": %d," (List.length m.Portability.passes);
-         Printf.sprintf "  \"models\": %d," (List.length m.Portability.models);
-         Printf.sprintf "  \"tests\": %d," (List.length m.Portability.tests);
-         Printf.sprintf "  \"wall_s\": %.4f," wall;
-         Printf.sprintf "  \"sc_safe_tso_unsafe\": [%s],"
-           (String.concat ", "
-              (List.map (Printf.sprintf "%S") sc_safe_tso_unsafe));
-         Printf.sprintf "  \"weak_unsafe_witnesses_replayed\": %b,"
-           weak_unsafe_replayed;
-         "  \"cells\": [";
-       ]
-      @ [ String.concat ",\n" cell_rows ]
-      @ [ "  ]"; "}" ])
-  in
-  let oc = open_out "BENCH_portability.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Fmt.pr "  wrote BENCH_portability.json@."
+  write_bench ~mode:"portability" ~quick
+    [ experiment "sweep" ~total:(List.length m.Portability.cells) wall ]
+    [
+      ("passes", Json.Int (List.length m.Portability.passes));
+      ("models", Json.Int (List.length m.Portability.models));
+      ("tests", Json.Int (List.length m.Portability.tests));
+      ( "sc_safe_tso_unsafe",
+        Json.List (List.map (fun p -> Json.String p) sc_safe_tso_unsafe) );
+      ("cells", Json.List cell_rows);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* obs-overhead: the disabled-telemetry cost guard                     *)
@@ -1405,8 +1300,8 @@ let portability_bench ?(quick = false) () =
 
 (* The instrumentation contract is that a disabled call site costs one
    flag load and one branch — no closure, no allocation.  This mode
-   pins it three ways and exits 1 on any violation, so CI catches an
-   accidentally-allocating guard:
+   pins it with three claims, so CI catches an accidentally-allocating
+   guard:
      1. [Gc.minor_words] across a million disabled guard hits stays
         below a thousand words (i.e. the loop itself allocates nothing;
         the slack absorbs unrelated runtime noise);
@@ -1417,11 +1312,6 @@ let portability_bench ?(quick = false) () =
         noise of themselves. *)
 let obs_overhead () =
   hr "obs-overhead: disabled-telemetry cost guard";
-  let failed = ref false in
-  let check name ok detail =
-    Fmt.pr "  %-58s %s (%s)@." name (if ok then "OK" else "VIOLATION") detail;
-    if not ok then failed := true
-  in
   assert (not (Obs.Tracer.enabled ()));
   assert (not (Obs.Metrics.enabled ()));
   assert (not (Obs.Snapshot.enabled ()));
@@ -1435,17 +1325,17 @@ let obs_overhead () =
     if Obs.Snapshot.enabled () then incr sink
   done;
   let dw = Gc.minor_words () -. w0 in
-  check "disabled guards allocate nothing" (dw < 1_000.)
-    (Printf.sprintf "%.0f minor words / %d hits" dw hits);
+  Fmt.pr "  %.0f minor words / %d hits@." dw hits;
+  claim "disabled guards allocate nothing" (dw < 1_000.);
   (* 2: per-hit cost *)
   let t0 = Clock.now () in
   for _ = 1 to hits do
     if Obs.Tracer.enabled () then incr sink
   done;
   let ns = Clock.elapsed t0 *. 1e9 /. float_of_int hits in
-  check "disabled guard costs < 20 ns" (ns < 20.)
-    (Printf.sprintf "%.2f ns/hit" ns);
   ignore (Sys.opaque_identity !sink);
+  Fmt.pr "  %.2f ns/hit@." ns;
+  claim "disabled guard costs < 20 ns" (ns < 20.);
   (* 3: macro A/A stability with every guard on the hot paths disabled *)
   let programs = List.map Litmus.program Corpus.all in
   let macro () =
@@ -1461,10 +1351,8 @@ let obs_overhead () =
     wb := !wb +. w
   done;
   let ratio = Float.max (!wa /. !wb) (!wb /. !wa) in
-  check "interleaved A/A macro runs within 1.25x" (ratio < 1.25)
-    (Printf.sprintf "%.4fs vs %.4fs, ratio %.3f" !wa !wb ratio);
-  if !failed then exit 1;
-  Fmt.pr "  disabled-telemetry overhead within bounds@."
+  Fmt.pr "  %.4fs vs %.4fs, ratio %.3f@." !wa !wb ratio;
+  claim "interleaved A/A macro runs within 1.25x" (ratio < 1.25)
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel timing                                                     *)
@@ -1592,44 +1480,26 @@ let () =
      validator-ladder differential and scaling comparison
      (BENCH_refine.json); `-- rmw` the lock-free atomic pack gates
      (BENCH_rmw.json); `-- portability` (or `portability-quick`) the
-     pass x memory-model matrix (BENCH_portability.json) — these three,
-     and the parallel modes, exit 1 when a claim reads MISMATCH;
-     `-- obs-overhead` the disabled-telemetry cost guard (exits 1 when
-     the guards are not free); the default runs the full reproduction
-     suite. *)
-  match Sys.argv with
+     pass x memory-model matrix (BENCH_portability.json); `--
+     obs-overhead` the disabled-telemetry cost guard; the default runs
+     the full reproduction suite.  Every mode exits 1 when a claim
+     reads MISMATCH. *)
+  (match Sys.argv with
   | [| _; "explore" |] -> explore_bench ()
   | [| _; "explore-quick" |] -> explore_bench ~quick:true ()
   | [| _; "obs-overhead" |] -> obs_overhead ()
   | [| _; "pipeline" |] -> pipeline_bench ()
   | [| _; "pipeline-quick" |] -> pipeline_bench ~quick:true ()
-  | [| _; "parallel" |] ->
-      parallel_bench ~jobs:4 ();
-      exit_on_mismatch ()
-  | [| _; "parallel"; j |] ->
-      parallel_bench ~jobs:(int_of_string j) ();
-      exit_on_mismatch ()
-  | [| _; "parallel-quick" |] ->
-      parallel_bench ~quick:true ~jobs:2 ();
-      exit_on_mismatch ()
+  | [| _; "parallel" |] -> parallel_bench ~jobs:4 ()
+  | [| _; "parallel"; j |] -> parallel_bench ~jobs:(int_of_string j) ()
+  | [| _; "parallel-quick" |] -> parallel_bench ~quick:true ~jobs:2 ()
   | [| _; "parallel-quick"; j |] ->
-      parallel_bench ~quick:true ~jobs:(int_of_string j) ();
-      exit_on_mismatch ()
-  | [| _; "refine" |] ->
-      refine_bench ();
-      exit_on_mismatch ()
-  | [| _; "refine-quick" |] ->
-      refine_bench ~quick:true ();
-      exit_on_mismatch ()
-  | [| _; "rmw" |] ->
-      rmw_bench ();
-      exit_on_mismatch ()
-  | [| _; "portability" |] ->
-      portability_bench ();
-      exit_on_mismatch ()
-  | [| _; "portability-quick" |] ->
-      portability_bench ~quick:true ();
-      exit_on_mismatch ()
+      parallel_bench ~quick:true ~jobs:(int_of_string j) ()
+  | [| _; "refine" |] -> refine_bench ()
+  | [| _; "refine-quick" |] -> refine_bench ~quick:true ()
+  | [| _; "rmw" |] -> rmw_bench ()
+  | [| _; "portability" |] -> portability_bench ()
+  | [| _; "portability-quick" |] -> portability_bench ~quick:true ()
   | _ ->
       e1 ();
       e2 ();
@@ -1654,4 +1524,5 @@ let () =
       rmw_bench ();
       portability_bench ();
       run_bechamel ();
-      Fmt.pr "@.done.@."
+      Fmt.pr "@.done.@.");
+  exit_on_mismatch ()

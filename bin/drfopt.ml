@@ -194,24 +194,13 @@ let progress_arg =
    + records still counting, consistent and monotone) plus the arena
    gauge. *)
 let live_progress_fields () =
-  let s = Explorer.live_progress () in
   let arena =
     match Obs.Metrics.(find_gauge global "par.arena_words") with
     | Some g -> g.Obs.Metrics.g_last
     | None -> 0.
   in
-  Obs.Json.
-    [
-      ("states", Int s.Explorer.states);
-      ("edges", Int s.Explorer.edges);
-      ("memo_hits", Int s.Explorer.memo_hits);
-      ("por_cuts", Int s.Explorer.por_cuts);
-      ("peak_frontier", Int s.Explorer.peak_frontier);
-      ("steals", Int s.Explorer.steals);
-      ("lock_waits", Int s.Explorer.lock_waits);
-      ("domains", Int s.Explorer.domains);
-      ("arena_words", Float arena);
-    ]
+  Explorer.stats_fields (Explorer.live_progress ())
+  @ [ ("arena_words", Obs.Json.Float arena) ]
 
 let setup_obs trace_out format metrics heartbeat heartbeat_out progress =
   let sampling = heartbeat <> None || progress in
@@ -965,7 +954,7 @@ let bench_cmd =
       Arg.(
         value & opt float Obs.Bench_diff.default_min_wall
         & info [ "min-wall" ] ~docv:"S"
-            ~doc:"Noise floor: numeric points whose measured wall is under \
+            ~doc:"Noise floor: experiments whose measured wall is under \
                   $(docv) seconds on both sides are skipped (default \
                   0.05).")
     in
@@ -980,12 +969,13 @@ let bench_cmd =
     in
     Cmd.v
       (Cmd.info "diff"
-         ~doc:"Compare two BENCH_*.json files with noise-aware thresholds: \
-               rates (units_per_sec, reps-independent) compare higher-is-\
-               better, walls lower-is-better, boolean claims must not flip \
-               true→false; points under $(b,--min-wall) on both sides are \
-               skipped.  Exits non-zero on any regression — the CI perf \
-               gate.")
+         ~doc:"Compare two BENCH_*.json records with noise-aware thresholds: \
+               experiments pair by name and compare by rate (units_per_sec, \
+               reps-independent, higher is better), skipped when their wall \
+               is under $(b,--min-wall) on both sides; claims pair by text \
+               and must not flip true→false or go missing.  Nothing else \
+               in the records is compared.  Exits non-zero on any \
+               regression — the CI perf gate.")
       Term.(const run $ old_arg $ new_arg $ threshold_arg $ min_wall_arg)
   in
   Cmd.group

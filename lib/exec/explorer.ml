@@ -116,13 +116,19 @@ let pp_stats ppf s =
       s.steals s.lock_waits;
   Fmt.pf ppf "@]"
 
-let stats_to_json s =
-  Printf.sprintf
-    "{\"states\": %d, \"edges\": %d, \"memo_hits\": %d, \"por_cuts\": %d, \
-     \"peak_frontier\": %d, \"wall_s\": %.6f, \"domains\": %d, \"steals\": \
-     %d, \"lock_waits\": %d}"
-    s.states s.edges s.memo_hits s.por_cuts s.peak_frontier s.wall s.domains
-    s.steals s.lock_waits
+let stats_fields s =
+  Safeopt_obs.Json.
+    [
+      ("states", Int s.states);
+      ("edges", Int s.edges);
+      ("memo_hits", Int s.memo_hits);
+      ("por_cuts", Int s.por_cuts);
+      ("peak_frontier", Int s.peak_frontier);
+      ("wall_s", Float s.wall);
+      ("domains", Int s.domains);
+      ("steals", Int s.steals);
+      ("lock_waits", Int s.lock_waits);
+    ]
 
 (* A dummy sink so the hot loops mutate unconditionally instead of
    matching on an option at every step. *)

@@ -78,9 +78,10 @@ val pp_stats : Format.formatter -> stats -> unit
 (** Human-readable rendering.  The parallel counters are printed only
     when [domains > 0], i.e. when some run used several workers. *)
 
-val stats_to_json : stats -> string
-(** One-line JSON object (states, edges, memo_hits, por_cuts,
-    peak_frontier, wall_s, domains, steals, lock_waits). *)
+val stats_fields : stats -> (string * Safeopt_obs.Json.t) list
+(** The record as JSON fields (states, edges, memo_hits, por_cuts,
+    peak_frontier, wall_s, domains, steals, lock_waits): the heartbeat's
+    progress object and the bench records' [explorer_stats]. *)
 
 val publish : into:Safeopt_obs.Metrics.t -> stats -> unit
 (** Record a finished record into a metrics registry ([explorer.*]

@@ -1,178 +1,106 @@
-(* Noise-aware comparison of two BENCH_*.json files: the engine behind
+(* Noise-aware comparison of two bench records: the engine behind
    `drfopt bench diff old.json new.json`.
 
-   The harness is schema-agnostic: it walks both documents in parallel
-   and extracts comparable *points* wherever it recognises one —
-
-   - an object carrying "units_per_sec" compares by that rate (higher
-     is better).  Rates are reps-independent, so a quick bench run
-     (fewer reps, smaller walls) still compares cleanly against a
-     committed full run;
-   - an object carrying only "wall_s" compares by wall (lower is
-     better) — e.g. the per-phase tables;
-   - every boolean field is a claim: true in the old file and false in
-     the new one is a regression regardless of thresholds.
-
-   Arrays of named objects ("experiments": [{"name": ...}]) pair by
-   name, not index, so reordering or appending experiments never
-   misaligns the comparison.
-
-   Noise handling: a numeric point whose measured wall is below
-   [min_wall] on both sides is skipped — sub-floor timings are scheduler
-   noise, and CI runners are noisy machines.  A surviving point
-   regresses when its relative delta in the bad direction exceeds
-   [threshold]. *)
-
-type dir = Lower_better | Higher_better
+   A record's experiments pair by name and compare by rate, with the
+   wall only as the noise gate: a sub-floor timing is scheduler noise,
+   and CI runners are noisy machines.  Its claims pair by text, and a
+   claim that held must still hold.  Nothing else in the record is
+   read: configuration ([quick], reps, jobs, [degraded]) and the
+   reps-sized walls under [detail] would compare unlike with like. *)
 
 type status =
   | Ok_same
-  | Improved of float  (** relative delta in the good direction *)
-  | Regressed of float  (** relative delta in the bad direction *)
-  | Noise  (** both walls under the floor; not compared *)
-  | Claim_broken  (** boolean true -> false *)
+  | Improved of float
+  | Regressed of float
+  | Noise
+  | Claim_broken
 
 type row = {
   r_path : string;
   r_old : float;
-  r_new : float;
-  r_dir : dir;
+  r_new : float option;
   r_status : status;
 }
 
 type t = { rows : row list; compared : int; regressions : int }
 
-(* ------------------------------------------------------------------ *)
-(* Point extraction                                                    *)
-(* ------------------------------------------------------------------ *)
-
-type point =
-  | Num of { dir : dir; value : float; wall : float }
-  | Claim of bool
-
-let num j = match Json.to_float j with Some f -> Some f | None -> None
-
-let obj_field name fields =
-  Option.bind (List.assoc_opt name fields) num
-
-(* Depth-first extraction: (path, point) in document order. *)
-let rec points path (j : Json.t) acc =
-  match j with
-  | Json.Obj fields ->
-      let here p = if path = "" then p else path ^ "." ^ p in
-      let acc =
-        match
-          (obj_field "units_per_sec" fields, obj_field "wall_s" fields)
-        with
-        | Some rate, wall ->
-            (* rate point; the wall (when present) is only the noise
-               gate.  A missing wall is treated as trustworthy. *)
-            ( here "units_per_sec",
-              Num
-                {
-                  dir = Higher_better;
-                  value = rate;
-                  wall = Option.value ~default:Float.infinity wall;
-                } )
-            :: acc
-        | None, Some wall ->
-            (here "wall_s", Num { dir = Lower_better; value = wall; wall })
-            :: acc
-        | None, None -> acc
-      in
-      List.fold_left
-        (fun acc (k, v) ->
-          match v with
-          | Json.Bool b -> (here k, Claim b) :: acc
-          | Json.Obj _ -> points (here k) v acc
-          | Json.List items ->
-              List.fold_left
-                (fun acc item ->
-                  match item with
-                  | Json.Obj ifields -> (
-                      match List.assoc_opt "name" ifields with
-                      | Some (Json.String n) ->
-                          points (here k ^ "[" ^ n ^ "]") item acc
-                      | _ -> acc)
-                  | _ -> acc)
-                acc items
-          | _ -> acc)
-        acc fields
-  | _ -> acc
-
-let extract j = List.rev (points "" j [])
-
-(* ------------------------------------------------------------------ *)
-(* Comparison                                                          *)
-(* ------------------------------------------------------------------ *)
-
 let default_threshold = 0.25
 let default_min_wall = 0.05
 
-let compare_points ~threshold ~min_wall olds news =
-  let rows =
-    List.filter_map
-      (fun (path, old_pt) ->
-        match (old_pt, List.assoc_opt path news) with
-        | _, None -> None
-        | Claim old_b, Some (Claim new_b) ->
-            let status =
-              if old_b && not new_b then Claim_broken else Ok_same
-            in
-            Some
-              {
-                r_path = path;
-                r_old = (if old_b then 1. else 0.);
-                r_new = (if new_b then 1. else 0.);
-                r_dir = Higher_better;
-                r_status = status;
-              }
-        | Num o, Some (Num n) when o.dir = n.dir ->
-            let status =
-              if Float.max o.wall n.wall < min_wall then Noise
-              else if o.value = 0. then Ok_same
-              else
-                let bad =
-                  match o.dir with
-                  | Lower_better -> (n.value -. o.value) /. o.value
-                  | Higher_better -> (o.value -. n.value) /. o.value
-                in
-                if bad > threshold then Regressed bad
-                else if bad < -.threshold then Improved (-.bad)
-                else Ok_same
-            in
-            Some
-              {
-                r_path = path;
-                r_old = o.value;
-                r_new = n.value;
-                r_dir = o.dir;
-                r_status = status;
-              }
-        | _ -> None)
-      olds
-  in
-  let compared =
-    List.length (List.filter (fun r -> r.r_status <> Noise) rows)
-  in
-  let regressions =
-    List.length
-      (List.filter
-         (fun r ->
-           match r.r_status with
-           | Regressed _ | Claim_broken -> true
-           | _ -> false)
-         rows)
-  in
-  { rows; compared; regressions }
+(* (name, (rate, wall)) of every experiment carrying all three. *)
+let experiments j =
+  match Json.member "experiments" j with
+  | Some (Json.List items) ->
+      List.filter_map
+        (fun e ->
+          let num k = Option.bind (Json.member k e) Json.to_float in
+          match
+            (Option.bind (Json.member "name" e) Json.to_str,
+             num "units_per_sec", num "wall_s")
+          with
+          | Some name, Some rate, Some wall -> Some (name, (rate, wall))
+          | _ -> None)
+        items
+  | _ -> []
+
+let claims j =
+  match Json.member "claims" j with
+  | Some (Json.Obj fields) ->
+      List.filter_map
+        (function text, Json.Bool b -> Some (text, b) | _ -> None)
+        fields
+  | _ -> []
+
+let rate_row ~threshold ~min_wall news (name, (old_rate, old_wall)) =
+  Option.map
+    (fun (new_rate, new_wall) ->
+      let status =
+        if Float.max old_wall new_wall < min_wall then Noise
+        else if old_rate = 0. then Ok_same
+        else
+          let bad = (old_rate -. new_rate) /. old_rate in
+          if bad > threshold then Regressed bad
+          else if bad < -.threshold then Improved (-.bad)
+          else Ok_same
+      in
+      {
+        r_path = "experiments[" ^ name ^ "].units_per_sec";
+        r_old = old_rate;
+        r_new = Some new_rate;
+        r_status = status;
+      })
+    (List.assoc_opt name news)
+
+let claim_row news (text, held) =
+  let now = List.assoc_opt text news in
+  let num b = if b then 1. else 0. in
+  {
+    r_path = "claims[" ^ text ^ "]";
+    r_old = num held;
+    r_new = Option.map num now;
+    r_status = (if held && now <> Some true then Claim_broken else Ok_same);
+  }
 
 let diff ?(threshold = default_threshold) ?(min_wall = default_min_wall)
     ~old_json ~new_json () =
-  let olds = extract old_json and news = extract new_json in
-  let t = compare_points ~threshold ~min_wall olds news in
-  if t.compared = 0 then
+  let rows =
+    List.filter_map
+      (rate_row ~threshold ~min_wall (experiments new_json))
+      (experiments old_json)
+    @ List.map (claim_row (claims new_json)) (claims old_json)
+  in
+  let count p = List.length (List.filter (fun r -> p r.r_status) rows) in
+  let compared = count (fun s -> s <> Noise) in
+  if compared = 0 then
     Error "no comparable points (are these the same benchmark's files?)"
-  else Ok t
+  else
+    Ok
+      {
+        rows;
+        compared;
+        regressions =
+          count (function Regressed _ | Claim_broken -> true | _ -> false);
+      }
 
 let read_file path =
   let ic = open_in path in
@@ -194,17 +122,17 @@ let diff_files ?threshold ?min_wall old_path new_path =
 
 let regressed t = t.regressions > 0
 
-let value_string dir v =
-  match dir with
-  | Lower_better -> Printf.sprintf "%.4fs" v
-  | Higher_better ->
-      if Float.is_integer v && Float.abs v < 1e15 then
-        Printf.sprintf "%.0f" v
-      else Printf.sprintf "%.2f" v
+let value_string v =
+  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  else Printf.sprintf "%.2f" v
 
 let pp ppf t =
   let open Format in
-  fprintf ppf "  %-44s %12s %12s  %s@." "metric" "old" "new" "verdict";
+  (* claim texts run long: widen the first column to fit them *)
+  let w =
+    List.fold_left (fun w r -> max w (String.length r.r_path)) 44 t.rows
+  in
+  fprintf ppf "  %-*s %12s %12s  %s@." w "metric" "old" "new" "verdict";
   List.iter
     (fun r ->
       let verdict =
@@ -215,9 +143,8 @@ let pp ppf t =
         | Noise -> "skipped (noise floor)"
         | Claim_broken -> "CLAIM BROKEN"
       in
-      fprintf ppf "  %-44s %12s %12s  %s@." r.r_path
-        (value_string r.r_dir r.r_old)
-        (value_string r.r_dir r.r_new)
+      fprintf ppf "  %-*s %12s %12s  %s@." w r.r_path (value_string r.r_old)
+        (Option.fold ~none:"missing" ~some:value_string r.r_new)
         verdict)
     t.rows;
   fprintf ppf "%d compared, %d regression%s@." t.compared t.regressions

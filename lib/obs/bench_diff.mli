@@ -1,34 +1,36 @@
 (** Noise-aware comparison of two BENCH_*.json files: the engine behind
     [drfopt bench diff old.json new.json], CI's perf gate.
 
-    Schema-agnostic: both documents are walked in parallel and
-    comparable points are extracted wherever the harness recognises one
-    — an object with ["units_per_sec"] compares by rate (higher is
-    better; rates are reps-independent, so a quick run compares cleanly
-    against a committed full run), an object with only ["wall_s"]
-    compares by wall (lower is better), and every boolean field is a
-    claim whose [true → false] transition is a regression regardless of
-    thresholds.  Arrays of named objects pair by ["name"], not index.
+    Both files are bench records ([{"schema": "bench/v3", "mode",
+    "quick", "experiments", "claims", "detail"}], written by
+    [bench/main.exe]), and only two of their members are compared:
 
-    Noise: a numeric point whose wall is under [min_wall] (default
-    0.05 s) on both sides is skipped; a surviving point regresses when
-    its relative delta in the bad direction exceeds [threshold]
-    (default 0.25). *)
+    - [experiments] pair by ["name"] and compare by ["units_per_sec"]
+      (higher is better).  Rates are reps-independent, so a quick run
+      compares cleanly against a committed full run.  ["wall_s"] is only
+      the noise gate: an experiment whose wall is under [min_wall]
+      (default 0.05 s) on both sides is skipped, and a surviving one
+      regresses when its rate falls by more than [threshold] (default
+      0.25).
+    - [claims] pair by their text: a claim that is [true] in the old
+      file and [false] or missing in the new one is broken, whatever
+      the thresholds.
 
-type dir = Lower_better | Higher_better
+    [quick], [mode] and everything under [detail] (configuration,
+    phases, per-program rows) are never compared. *)
 
 type status =
   | Ok_same
-  | Improved of float  (** relative delta in the good direction *)
-  | Regressed of float  (** relative delta in the bad direction *)
+  | Improved of float  (** relative rate gain *)
+  | Regressed of float  (** relative rate loss *)
   | Noise  (** both walls under the floor; not compared *)
-  | Claim_broken  (** boolean [true] in old, [false] in new *)
+  | Claim_broken  (** [true] in old, [false] or missing in new *)
 
 type row = {
-  r_path : string;  (** dotted path, named array items as [k[name]] *)
-  r_old : float;
-  r_new : float;
-  r_dir : dir;
+  r_path : string;
+      (** [experiments[NAME].units_per_sec] or [claims[TEXT]] *)
+  r_old : float;  (** a rate, or 1/0 for a claim *)
+  r_new : float option;  (** [None]: the claim is missing from new *)
   r_status : status;
 }
 
@@ -47,7 +49,8 @@ val diff :
   new_json:Json.t ->
   unit ->
   (t, string) result
-(** [Error] when the two documents share no comparable point. *)
+(** [Error] when nothing is compared: the old record has no claim, and
+    no experiment both records share is above the noise floor. *)
 
 val diff_files :
   ?threshold:float -> ?min_wall:float -> string -> string -> (t, string) result
@@ -57,5 +60,5 @@ val regressed : t -> bool
 (** Any [Regressed] or [Claim_broken] row — the non-zero-exit signal. *)
 
 val pp : Format.formatter -> t -> unit
-(** One row per point with old/new values and a verdict, then a
-    [N compared, M regressions] summary line. *)
+(** One row per experiment and claim with old/new values and a
+    verdict, then a [N compared, M regressions] summary line. *)

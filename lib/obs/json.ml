@@ -34,7 +34,13 @@ let float_str f =
   if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s
   else s ^ ".0"
 
-let rec write buf = function
+(* [sp] puts a space after every ',' and ':' — off for the compact
+   JSONL rendering, on for the files people read. *)
+let sep ~sp buf c =
+  Buffer.add_char buf c;
+  if sp then Buffer.add_char buf ' '
+
+let rec write ~sp buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
@@ -46,24 +52,58 @@ let rec write buf = function
       Buffer.add_char buf '[';
       List.iteri
         (fun i v ->
-          if i > 0 then Buffer.add_char buf ',';
-          write buf v)
+          if i > 0 then sep ~sp buf ',';
+          write ~sp buf v)
         l;
       Buffer.add_char buf ']'
   | Obj fields ->
       Buffer.add_char buf '{';
       List.iteri
         (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
+          if i > 0 then sep ~sp buf ',';
           escape buf k;
-          Buffer.add_char buf ':';
-          write buf v)
+          sep ~sp buf ':';
+          write ~sp buf v)
         fields;
       Buffer.add_char buf '}'
 
 let to_string v =
   let buf = Buffer.create 128 in
-  write buf v;
+  write ~sp:false buf v;
+  Buffer.contents buf
+
+let to_lines v =
+  let buf = Buffer.create 1024 in
+  let nested = function List _ | Obj _ -> true | _ -> false in
+  let rec go depth v =
+    let members =
+      match v with
+      | List l -> List.map (fun v -> (None, v)) l
+      | Obj fields -> List.map (fun (k, v) -> (Some k, v)) fields
+      | _ -> []
+    in
+    let flat = not (List.exists (fun (_, v) -> nested v) members) in
+    if members = [] || (depth > 1 && flat) then write ~sp:true buf v
+    else begin
+      let indent d = Buffer.add_string buf (String.make (2 * d) ' ') in
+      Buffer.add_char buf (match v with Obj _ -> '{' | _ -> '[');
+      List.iteri
+        (fun i (k, v) ->
+          Buffer.add_string buf (if i = 0 then "\n" else ",\n");
+          indent (depth + 1);
+          Option.iter
+            (fun k ->
+              escape buf k;
+              Buffer.add_string buf ": ")
+            k;
+          go (depth + 1) v)
+        members;
+      Buffer.add_char buf '\n';
+      indent depth;
+      Buffer.add_char buf (match v with Obj _ -> '}' | _ -> ']')
+    end
+  in
+  go 0 v;
   Buffer.contents buf
 
 let pp ppf v = Format.pp_print_string ppf (to_string v)

@@ -25,6 +25,13 @@ val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 (** Same rendering as {!to_string}. *)
 
+val to_lines : t -> string
+(** The rendering of files kept under version control.  The document,
+    each of its members, and every array or object that holds an array
+    or object put one member per line, indented two spaces a level;
+    every other value takes one line, spaced [{"k": 1, "j": [2, 3]}].
+    So a file of records diffs one record per line. *)
+
 val of_string : string -> (t, string) result
 (** Parse one JSON value; trailing garbage after the value is an
     error.  Numbers without [.], [e] or [E] parse as {!Int}, the rest

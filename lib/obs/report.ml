@@ -11,6 +11,7 @@ type span_row = {
 type t = {
   events : int;
   spans : span_row list;
+  phases : Profile.agg list;
   wall : float;
   counters : (string * float) list;
 }
@@ -57,9 +58,20 @@ let aggregate (events : Event.t list) =
           else counters := (e.name, v) :: !counters)
     events;
   let spans = List.rev !order |> List.map (fun id -> Hashtbl.find begins id) in
+  (* total descending with the name as tie-break: a deterministic
+     ordering whatever order the spans were emitted in *)
+  let phases =
+    List.sort
+      (fun (a : Profile.agg) (b : Profile.agg) ->
+        match Float.compare b.a_total a.a_total with
+        | 0 -> String.compare a.a_name b.a_name
+        | c -> c)
+      (Profile.aggregate events)
+  in
   {
     events = List.length events;
     spans;
+    phases;
     wall = !wall;
     counters = List.rev !counters;
   }
@@ -85,71 +97,6 @@ let read_file path =
 
 let span_wall r = if Float.is_nan r.sr_stop then None else Some (r.sr_stop -. r.sr_start)
 
-let phase_walls t =
-  List.fold_left
-    (fun acc r ->
-      match span_wall r with
-      | None -> acc
-      | Some w -> (
-          match List.assoc_opt r.sr_name acc with
-          | Some (n, tot) ->
-              List.map
-                (fun (name, cell) ->
-                  if name = r.sr_name then (name, (n + 1, tot +. w)) else (name, cell))
-                acc
-          | None -> acc @ [ (r.sr_name, (1, w)) ]))
-    [] t.spans
-  |> List.map (fun (name, (n, tot)) -> (name, n, tot))
-
-(* Self time per span: its wall minus the wall of its direct children
-   (spans whose [sr_parent] is its id).  Unclosed spans contribute
-   nothing, matching {!phase_walls}. *)
-let self_walls t =
-  let child_wall =
-    List.fold_left
-      (fun acc r ->
-        match span_wall r with
-        | None -> acc
-        | Some w -> (
-            if r.sr_parent < 0 then acc
-            else
-              match List.assoc_opt r.sr_parent acc with
-              | Some tot -> (r.sr_parent, tot +. w) :: List.remove_assoc r.sr_parent acc
-              | None -> (r.sr_parent, w) :: acc))
-      [] t.spans
-  in
-  List.filter_map
-    (fun r ->
-      match span_wall r with
-      | None -> None
-      | Some w ->
-          let inside =
-            Option.value ~default:0. (List.assoc_opt r.sr_id child_wall)
-          in
-          Some (r, Float.max 0. (w -. inside)))
-    t.spans
-
-(* The phases table's rows: per span name, (count, total, self), total
-   descending with the name as tie-break — a deterministic ordering
-   whatever order the spans were emitted in. *)
-let phase_rows t =
-  let selves = self_walls t in
-  let add name w self acc =
-    match List.assoc_opt name acc with
-    | Some (n, tot, sf) ->
-        (name, (n + 1, tot +. w, sf +. self)) :: List.remove_assoc name acc
-    | None -> (name, (1, w, self)) :: acc
-  in
-  List.fold_left
-    (fun acc (r, self) ->
-      match span_wall r with
-      | None -> acc
-      | Some w -> add r.sr_name w self acc)
-    [] selves
-  |> List.map (fun (name, (n, tot, self)) -> (name, n, tot, self))
-  |> List.sort (fun (na, _, ta, _) (nb, _, tb, _) ->
-         match Float.compare tb ta with 0 -> String.compare na nb | c -> c)
-
 let span_attr r k =
   (* end attrs were appended after begin attrs; last binding wins *)
   List.fold_left
@@ -171,16 +118,16 @@ let pp ppf t =
   let ended = List.length (List.filter (fun r -> not (Float.is_nan r.sr_stop)) t.spans) in
   fprintf ppf "trace: %d events, %d spans (%d closed), wall %.3fms@."
     t.events (List.length t.spans) ended (t.wall *. 1e3);
-  let phases = phase_rows t in
-  if phases <> [] then begin
+  if t.phases <> [] then begin
     fprintf ppf "@.phases:@.";
     fprintf ppf "  %-28s %5s %12s %12s %12s@." "phase" "count" "total" "self"
       "mean";
     List.iter
-      (fun (name, n, tot, self) ->
-        fprintf ppf "  %-28s %5d %12s %12s %12s@." name n (ms tot) (ms self)
-          (ms (tot /. float_of_int n)))
-      phases
+      (fun (a : Profile.agg) ->
+        fprintf ppf "  %-28s %5d %12s %12s %12s@." a.a_name a.a_count
+          (ms a.a_total) (ms a.a_self)
+          (ms (a.a_total /. float_of_int a.a_count)))
+      t.phases
   end;
   let passes = List.filter (fun r -> r.sr_name = "pass") t.spans in
   if passes <> [] then begin

@@ -1,11 +1,11 @@
 (** Offline aggregation of a JSONL event log: the engine behind
     [drfopt report FILE.jsonl].
 
-    Matches span [End] events to their [Begin] by id, then folds the
-    durations into per-phase wall-time totals, a per-pass table (spans
-    named ["pass"], with iteration/site/verdict attributes merged from
-    both ends of the span), and the final value of every counter
-    series. *)
+    Matches span [End] events to their [Begin] by id, then reads the
+    per-phase totals and self times from {!Profile.aggregate}, builds a
+    per-pass table (spans named ["pass"], with iteration/site/verdict
+    attributes merged from both ends of the span), and keeps the final
+    value of every counter series. *)
 
 type span_row = {
   sr_id : int;  (** the span id the end event was matched on *)
@@ -22,6 +22,10 @@ type span_row = {
 type t = {
   events : int;
   spans : span_row list;  (** in begin order *)
+  phases : Profile.agg list;
+      (** {!Profile.aggregate}'s rows, total descending with the name as
+          tie-break (deterministic whatever order spans were emitted
+          in); an unclosed span is clamped to the last timestamp *)
   wall : float;  (** last timestamp seen *)
   counters : (string * float) list;
       (** final sample of each counter series, in first-seen order *)
@@ -32,16 +36,6 @@ val aggregate : Event.t list -> t
 val read_file : string -> (Event.t list, string) result
 (** Parse a JSONL event log; fails on the first malformed line with its
     line number. *)
-
-val phase_walls : t -> (string * int * float) list
-(** Per span name: (name, count, total wall), in first-seen order,
-    spans missing their end excluded. *)
-
-val phase_rows : t -> (string * int * float * float) list
-(** Per span name: (name, count, total wall, self wall) — self is wall
-    minus the wall of direct child spans — ordered by total descending
-    with the name as tie-break (deterministic whatever order spans were
-    emitted in).  The phases table of {!pp}. *)
 
 val span_attr : span_row -> string -> Event.value option
 (** Last binding wins, so end-side attributes shadow begin-side. *)

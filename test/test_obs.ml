@@ -265,18 +265,27 @@ let test_report_aggregate () =
   check_i "events" 9 t.Report.events;
   check_i "spans" 4 (List.length t.Report.spans);
   check_b "wall is the last ts" true (abs_float (t.Report.wall -. 0.010) < 1e-9);
-  (* the orphan span (no end) is excluded from phase walls *)
-  let walls = Report.phase_walls t in
+  let phase name =
+    List.find_opt (fun a -> a.Profile.a_name = name) t.Report.phases
+  in
   check_b "pipeline wall" true
-    (match List.find_opt (fun (n, _, _) -> n = "pipeline") walls with
-    | Some (_, 1, w) -> abs_float (w -. 0.008) < 1e-9
+    (match phase "pipeline" with
+    | Some { Profile.a_count = 1; a_total; _ } ->
+        abs_float (a_total -. 0.008) < 1e-9
     | _ -> false);
   check_b "pass wall folds both spans" true
-    (match List.find_opt (fun (n, _, _) -> n = "pass") walls with
-    | Some (_, 2, w) -> abs_float (w -. 0.004) < 1e-9
+    (match phase "pass" with
+    | Some { Profile.a_count = 2; a_total; _ } ->
+        abs_float (a_total -. 0.004) < 1e-9
     | _ -> false);
-  check_b "orphan excluded" true
-    (not (List.exists (fun (n, _, _) -> n = "orphan") walls));
+  (* the orphan span (no end) is clamped to the last timestamp, as the
+     profile clamps it *)
+  check_b "phases and profile agree on the orphan" true
+    (phase "orphan"
+     = List.find_opt
+         (fun a -> a.Profile.a_name = "orphan")
+         (Profile.aggregate events)
+    && phase "orphan" <> None);
   (* end-side attributes shadow begin-side; counters keep the last value *)
   let pass1 = List.nth t.Report.spans 1 in
   check_b "merged attrs" true
@@ -343,10 +352,13 @@ let test_profile_tiebreak_and_clamp () =
 
 (* --- bench diff ---------------------------------------------------- *)
 
-let bench_doc ?(wall = 1.0) ?(claim = true) rate =
+let bench_doc ?(wall = 1.0) ?(claim = true) ?(quick = false)
+    ?(degraded = true) ?(phase_wall = 0.1) ?(claims = [ "claim ok" ]) rate =
   Json.Obj
     [
-      ("schema", Json.String "bench_test/v1");
+      ("schema", Json.String "bench/v3");
+      ("mode", Json.String "test");
+      ("quick", Json.Bool quick);
       ( "experiments",
         Json.List
           [
@@ -357,7 +369,24 @@ let bench_doc ?(wall = 1.0) ?(claim = true) rate =
                 ("units_per_sec", Json.Float rate);
               ];
           ] );
-      ("claim_ok", Json.Bool claim);
+      ("claims", Json.Obj (List.map (fun c -> (c, Json.Bool claim)) claims));
+      ( "detail",
+        Json.Obj
+          [
+            ("reps", Json.Int (if quick then 5 else 20));
+            ("degraded", Json.Bool degraded);
+            ( "phases",
+              Json.List
+                [
+                  Json.Obj
+                    [
+                      ("name", Json.String "explorer.behaviours");
+                      ("count", Json.Int 4);
+                      ("wall_s", Json.Float phase_wall);
+                      ("self_s", Json.Float phase_wall);
+                    ];
+                ] );
+          ] );
     ]
 
 let run_diff ?min_wall old_json new_json =
@@ -394,6 +423,32 @@ let test_bench_diff_verdicts () =
      with
     | Error _ -> true
     | Ok _ -> false)
+
+(* Configuration is not a result: a quick run against a full one, or a
+   run on a multi-core host against a single-core one, flips [quick]
+   and [detail.degraded] and must not regress. *)
+let test_bench_diff_configuration () =
+  check_b "quick and degraded flips do not regress" false
+    (Bench_diff.regressed
+       (run_diff
+          (bench_doc ~quick:true 1000.)
+          (bench_doc ~quick:false ~degraded:false 1000.)))
+
+(* Detail walls are sized by reps (a quick run does less work), so a
+   phase wall is never compared, however far it moves. *)
+let test_bench_diff_detail_walls () =
+  check_b "a tripled detail phase wall does not regress" false
+    (Bench_diff.regressed
+       (run_diff (bench_doc 1000.) (bench_doc ~phase_wall:0.3 1000.)))
+
+(* A claim the new file no longer makes is as broken as one that reads
+   false. *)
+let test_bench_diff_missing_claim () =
+  check_b "a claim missing from the new file regresses" true
+    (Bench_diff.regressed
+       (run_diff
+          (bench_doc ~claims:[ "claim ok"; "por identical" ] 1000.)
+          (bench_doc ~claims:[ "claim ok" ] 1000.)))
 
 (* --- heartbeat snapshots under live exploration -------------------- *)
 
@@ -551,7 +606,15 @@ let () =
             test_profile_tiebreak_and_clamp;
         ] );
       ( "bench-diff",
-        [ Alcotest.test_case "verdicts" `Quick test_bench_diff_verdicts ] );
+        [
+          Alcotest.test_case "verdicts" `Quick test_bench_diff_verdicts;
+          Alcotest.test_case "configuration not compared" `Quick
+            test_bench_diff_configuration;
+          Alcotest.test_case "detail walls not compared" `Quick
+            test_bench_diff_detail_walls;
+          Alcotest.test_case "missing claim regresses" `Quick
+            test_bench_diff_missing_claim;
+        ] );
       ( "heartbeat",
         [
           snapshot_invariants 1;
