@@ -758,30 +758,23 @@ let pipeline_bench ?(quick = false) () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* P5: domain-parallel exploration -> BENCH_parallel.json              *)
+(* P5: batch parallelism -> BENCH_parallel.json                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Time the corpus workloads sequentially and across [jobs] domains on
-   one shared pool of work-stealing workers, recording wall-clock
-   speedups, steal counts, and state-visit parity.  Every parallel
-   total is compared against the sequential one, and the acceptance
-   criteria are re-checked explicitly: parallel behaviour sets must be
-   identical to the sequential ones program by program, and parallel
-   state counts (with the reduction on) must equal sequential ones
-   exactly.  These parity checks are the mode's only claims, and the
-   mode exits through [exit_on_mismatch], so any of them failing fails
-   CI.  [quick] trims the repetitions — the CI smoke mode.
+(* Time the litmus corpus checked in the calling domain, before any
+   pool exists, and as a batch of one test per job across [jobs]
+   domains.  Every exploration runs in one domain either way, so the
+   one claim is that both sides count the same passing tests.  [quick]
+   trims the repetitions — the CI smoke mode.
 
-   Speedups are figures, not claims: they are bounded by the host's
-   core count, and on the corpus's small explorations two domains
-   mostly measure their own start-up.  The record's detail holds both
-   the requested and the effective parallelism, and on a host with
-   fewer than 2 cores it carries ["degraded": true] — the pool rates
-   and speedups of such a run measure scheduling overhead, not
-   scaling. *)
+   The speedup is a figure, not a claim: it is bounded by the host's
+   core count.  The record's detail holds both the requested and the
+   effective parallelism, and on a host with fewer than 2 cores it
+   carries ["degraded": true] — the pool rate of such a run measures
+   scheduling overhead, not scaling. *)
 let parallel_bench ?(quick = false) ~jobs () =
   let jobs_requested = Par.resolve_jobs jobs in
-  hr "P5: work-stealing parallel exploration -> BENCH_parallel.json";
+  hr "P5: batch-parallel litmus corpus -> BENCH_parallel.json";
   let host_cores = Domain.recommended_domain_count () in
   let jobs_effective = min jobs_requested host_cores in
   let degraded = host_cores < 2 in
@@ -790,109 +783,34 @@ let parallel_bench ?(quick = false) ~jobs () =
           reps%s@."
     jobs_requested jobs_effective host_cores reps
     (if degraded then " [degraded: single-core host]" else "");
-  let programs = List.map Litmus.program Corpus.all in
-  let big = [ writer_reader_program 3; private_work_program 3 3 ] in
-  let all = programs @ big in
-  Par.Pool.with_pool jobs_requested (fun pool ->
-      let beh ?pool () =
-        sum_reps reps all (fun p ->
-            Behaviour.Set.cardinal (Interp.behaviours ?pool p))
-      in
-      let count ?pool () =
-        sum_reps reps all (fun p -> Interp.count_states ?pool p)
-      in
-      let litmus ?pool () =
-        sum_reps reps [ Corpus.all ] (fun tests ->
-            List.length
-              (List.filter Litmus.passed (Litmus.check_all ?pool tests)))
-      in
-      Fmt.pr "  %-18s %-10s %-12s %-12s %s@." "experiment" "total" "seq (s)"
-        "par (s)" "speedup";
-      (* each side is its own experiment; the pool side carries the
-         speedup *)
-      let experiments =
-        List.map
-          (fun (name, (f : ?pool:Par.Pool.t -> unit -> int)) ->
-            let rseq, wseq = time (fun () -> f ?pool:None ()) in
-            let rpar, wpar = time (fun () -> f ~pool ()) in
-            Fmt.pr "  %-18s %-10d %-12.4f %-12.4f %.2fx@." name rseq wseq wpar
-              (wseq /. wpar);
-            ( rseq = rpar,
-              [
-                experiment (name ^ "/sequential") ~total:rseq wseq;
-                experiment (name ^ "/pool") ~total:rpar wpar
-                  ~extra:[ ("speedup", Json.Float (wseq /. wpar)) ];
-              ] ))
-          [
-            ("behaviours", beh);
-            ("count_states", count);
-            ("litmus_corpus", litmus);
-          ]
-      in
-      let totals_equal = List.for_all fst experiments in
-      let identical =
-        List.for_all
-          (fun p ->
-            Behaviour.Set.equal (Interp.behaviours p)
-              (Interp.behaviours ~pool p))
-          all
-      in
-      (* Exact reduced-count parity per program, plus aggregate steal
-         counts from the work-stealing scheduler. *)
-      let pstats = Explorer.create_stats () in
-      let states_parity =
-        List.for_all
-          (fun p ->
-            Interp.count_states p
-            = Interp.count_states ~stats:pstats ~pool p)
-          all
-      in
-      Fmt.pr "  steals: %d, starvation waits: %d (reduced corpus pass)@."
-        pstats.Explorer.steals pstats.Explorer.lock_waits;
-      (* Per-jobs scaling curve on the count_states workload: one rep
-         per point, sequential baseline at jobs 1. *)
-      let _, w1 =
-        time (fun () ->
-            List.iter (fun p -> ignore (Interp.count_states p)) all)
-      in
-      let curve_points =
-        List.sort_uniq compare
-          (List.filter (fun j -> j > 1) [ 2; 4; jobs_requested ])
-      in
-      let curve =
-        List.map
-          (fun j ->
-            Par.Pool.with_pool j (fun pl ->
-                let _, wj =
-                  time (fun () ->
-                      List.iter
-                        (fun p -> ignore (Interp.count_states ~pool:pl p))
-                        all)
-                in
-                Fmt.pr "  scaling: jobs %d -> %.4f s (%.2fx)@." j wj (w1 /. wj);
-                Json.Obj
-                  [
-                    ("jobs", Json.Int j);
-                    ("wall_s", Json.Float wj);
-                    ("speedup", Json.Float (w1 /. wj));
-                  ]))
-          curve_points
-      in
-      claim "parallel totals equal sequential totals" totals_equal;
-      claim "parallel and sequential behaviour sets identical" identical;
-      claim "reduced state counts identical across jobs" states_parity;
-      write_bench ~mode:"parallel" ~quick (List.concat_map snd experiments)
-        [
-          ("jobs_requested", Json.Int jobs_requested);
-          ("jobs_effective", Json.Int jobs_effective);
-          ("host_cores", Json.Int host_cores);
-          ("degraded", Json.Bool degraded);
-          ("reps", Json.Int reps);
-          ("programs", Json.Int (List.length all));
-          ("steals", Json.Int pstats.Explorer.steals);
-          ("lock_waits", Json.Int pstats.Explorer.lock_waits);
-          ("scaling", Json.List curve);
-        ])
+  let litmus ?pool () =
+    sum_reps reps [ Corpus.all ] (fun tests ->
+        List.length (List.filter Litmus.passed (Litmus.check_all ?pool tests)))
+  in
+  let rseq, wseq = time (fun () -> litmus ()) in
+  let rpar, wpar =
+    Par.Pool.with_pool jobs_requested (fun pool ->
+        time (fun () -> litmus ~pool ()))
+  in
+  Fmt.pr "  %-18s %-10s %-12s %-12s %s@." "experiment" "total" "seq (s)"
+    "par (s)" "speedup";
+  Fmt.pr "  %-18s %-10d %-12.4f %-12.4f %.2fx@." "litmus_corpus" rseq wseq wpar
+    (wseq /. wpar);
+  claim "parallel totals equal sequential totals" (rseq = rpar);
+  write_bench ~mode:"parallel" ~quick
+    [
+      experiment "litmus_corpus/sequential" ~total:rseq wseq;
+      experiment "litmus_corpus/pool" ~total:rpar wpar
+        ~extra:[ ("speedup", Json.Float (wseq /. wpar)) ];
+    ]
+    [
+      ("jobs_requested", Json.Int jobs_requested);
+      ("jobs_effective", Json.Int jobs_effective);
+      ("host_cores", Json.Int host_cores);
+      ("degraded", Json.Bool degraded);
+      ("reps", Json.Int reps);
+      ("tests", Json.Int (List.length Corpus.all));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* P6: thread-local refinement validator -> BENCH_refine.json          *)
@@ -1475,8 +1393,7 @@ let () =
      low-rep CI mode, comparable through rate fields); `-- pipeline` (or
      `pipeline-quick`, the CI smoke mode) just the pass-manager one
      (BENCH_pipeline.json); `-- parallel [jobs]` (or `parallel-quick
-     [jobs]`) the sequential-vs-parallel comparison
-     (BENCH_parallel.json); `-- refine` (or `refine-quick`) the
+     [jobs]`) the sequential-vs-batch comparison (BENCH_parallel.json); `-- refine` (or `refine-quick`) the
      validator-ladder differential and scaling comparison
      (BENCH_refine.json); `-- rmw` the lock-free atomic pack gates
      (BENCH_rmw.json); `-- portability` (or `portability-quick`) the

@@ -70,9 +70,10 @@ let jobs_arg =
   Arg.(
     value & opt int 1
     & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:"Run explorations across $(docv) domains (default 1 = \
-              sequential; 0 = all recommended cores).  Verdicts, behaviour \
-              sets and counts are identical at any job count.")
+        ~doc:"Run independent explorations across $(docv) domains \
+              (default 1 = sequential; 0 = all recommended cores).  Each \
+              exploration runs in one domain, so verdicts, behaviour sets, \
+              counts and witnesses are identical at any job count.")
 
 module Model = Safeopt_model.Memory_model
 
@@ -163,8 +164,8 @@ let heartbeat_arg =
         ~doc:"Sample live progress every $(docv) milliseconds into a \
               versioned JSONL heartbeat file (see $(b,--heartbeat-out)): \
               each line freezes the metrics registry plus the explorer's \
-              in-flight progress (states, states/sec, peak frontier, \
-              steals, lock waits).  Snapshots are monotone and the final \
+              in-flight progress (states, transitions, peak frontier, \
+              domains).  Snapshots are monotone and the final \
               line equals the end-of-run metrics.  Implies metrics \
               collection.")
 
@@ -190,18 +191,6 @@ let progress_arg =
    finaliser that writes the trace file and prints the metrics summary
    is registered with [at_exit]; it runs before the stdlib's formatter
    flushes (registered earlier, hence later in at_exit order). *)
-(* The heartbeat's progress view: the explorer's live tracker (registry
-   + records still counting, consistent and monotone) plus the arena
-   gauge. *)
-let live_progress_fields () =
-  let arena =
-    match Obs.Metrics.(find_gauge global "par.arena_words") with
-    | Some g -> g.Obs.Metrics.g_last
-    | None -> 0.
-  in
-  Explorer.stats_fields (Explorer.live_progress ())
-  @ [ ("arena_words", Obs.Json.Float arena) ]
-
 let setup_obs trace_out format metrics heartbeat heartbeat_out progress =
   let sampling = heartbeat <> None || progress in
   let live = metrics || trace_out <> None || sampling in
@@ -217,7 +206,9 @@ let setup_obs trace_out format metrics heartbeat heartbeat_out progress =
       ?path:(Option.map (fun _ -> heartbeat_out) heartbeat)
       ~echo:progress
       ~interval_ms:(Option.value ~default:500 heartbeat)
-      live_progress_fields;
+      (* the explorer's live tracker: registry + records still
+         counting, consistent and monotone *)
+      (fun () -> Explorer.stats_fields (Explorer.live_progress ()));
   if live then
     at_exit (fun () ->
         (* the sampler first: its final snapshot must equal the
@@ -255,9 +246,9 @@ let obs_term =
 (* The section-8 report from the model's behaviour set [bs]: its weak
    behaviours against SC (and against TSO under PSO), and whether SC
    rewrites through the model's explaining rules reproduce them. *)
-let print_weak ~fuel ?stats ~jobs model p bs =
+let print_weak ~fuel ?stats model p bs =
   let weak_against than =
-    Behaviour.Set.diff bs (Model.behaviours ~fuel ?stats ~jobs than p)
+    Behaviour.Set.diff bs (Model.behaviours ~fuel ?stats than p)
   in
   let weak = weak_against Model.Sc in
   Fmt.pr "weak (%s minus SC): %a@."
@@ -272,18 +263,17 @@ let print_weak ~fuel ?stats ~jobs model p bs =
        p)
 
 let run_cmd =
-  let run () file fuel stats jobs model =
-    let jobs = check_jobs jobs in
+  let run () file fuel stats model =
     let p = or_die (load file) in
     Fmt.pr "%a@.@." Pp.program p;
     with_stats stats (fun stats ->
         if not (Model.equal model Model.Sc) then
           Fmt.pr "memory model: %s@." (Model.name model);
-        let bs = Model.behaviours ~fuel ?stats ~jobs model p in
+        let bs = Model.behaviours ~fuel ?stats model p in
         print_behaviours bs;
-        Fmt.pr "data race free: %b@." (Interp.is_drf ~fuel ?stats ~jobs p);
+        Fmt.pr "data race free: %b@." (Interp.is_drf ~fuel ?stats p);
         if not (Model.equal model Model.Sc) then
-          print_weak ~fuel ?stats ~jobs model p bs;
+          print_weak ~fuel ?stats model p bs;
         0)
   in
   Cmd.v
@@ -294,8 +284,7 @@ let run_cmd =
              lacks) and whether the section-8 transformations explain \
              them: R-WR and E-RAW for TSO, plus R-WW for PSO")
     Term.(
-      const run $ obs_term $ file_arg $ fuel_arg $ stats_arg $ jobs_arg
-      $ model_arg)
+      const run $ obs_term $ file_arg $ fuel_arg $ stats_arg $ model_arg)
 
 (* --- drf --- *)
 
@@ -316,8 +305,7 @@ let drf_cmd =
 (* --- analyze --- *)
 
 let analyze_cmd =
-  let run () file fuel stats jobs =
-    let jobs = check_jobs jobs in
+  let run () file fuel stats =
     let p = or_die (load file) in
     let open Safeopt_analysis in
     Fmt.pr "may-access summary:@.";
@@ -340,7 +328,7 @@ let analyze_cmd =
           (* With --stats, settle the static "unknown" by running the
              exhaustive enumeration the verdict calls for. *)
           with_stats stats (fun stats ->
-              match Interp.find_race ~fuel ?stats ~jobs p with
+              match Interp.find_race ~fuel ?stats p with
               | Some i ->
                   Fmt.pr
                     "@[<v>verdict: RACY (exhaustive enumeration); witness:@ \
@@ -359,7 +347,7 @@ let analyze_cmd =
              pairs the lockset analysis cannot rule out.  With $(b,--stats), \
              unresolved potential races are settled by the exhaustive \
              enumeration and its exploration statistics are printed")
-    Term.(const run $ obs_term $ file_arg $ fuel_arg $ stats_arg $ jobs_arg)
+    Term.(const run $ obs_term $ file_arg $ fuel_arg $ stats_arg)
 
 (* --- transform --- *)
 

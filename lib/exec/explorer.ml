@@ -21,8 +21,6 @@ type stats = {
   mutable peak_frontier : int;
   mutable wall : float;
   mutable domains : int;
-  mutable steals : int;
-  mutable lock_waits : int;
 }
 
 let create_stats () =
@@ -34,8 +32,6 @@ let create_stats () =
     peak_frontier = 0;
     wall = 0.;
     domains = 0;
-    steals = 0;
-    lock_waits = 0;
   }
 
 let reset_stats s =
@@ -45,9 +41,7 @@ let reset_stats s =
   s.por_cuts <- 0;
   s.peak_frontier <- 0;
   s.wall <- 0.;
-  s.domains <- 0;
-  s.steals <- 0;
-  s.lock_waits <- 0
+  s.domains <- 0
 
 let merge_stats ~into s =
   into.states <- into.states + s.states;
@@ -57,24 +51,19 @@ let merge_stats ~into s =
   if s.peak_frontier > into.peak_frontier then
     into.peak_frontier <- s.peak_frontier;
   into.wall <- into.wall +. s.wall;
-  if s.domains > into.domains then into.domains <- s.domains;
-  into.steals <- into.steals + s.steals;
-  into.lock_waits <- into.lock_waits + s.lock_waits
+  if s.domains > into.domains then into.domains <- s.domains
 
-(* The record is the one counting cell: every entry point, and every
-   worker of a parallel discovery loop, counts into a private record
-   that starts at zero (no synchronisation in the hot loops) and hands
-   it over once, when it is done.  [publish] folds a finished record
-   into a registry under "explorer.*" names, with the call's throughput
-   as one more gauge. *)
+(* The record is the one counting cell: every entry point counts into a
+   private record that starts at zero (no synchronisation in the hot
+   loop) and hands it over once, when it is done.  [publish] folds a
+   finished record into a registry under "explorer.*" names, with the
+   call's throughput as one more gauge. *)
 let publish ~into s =
   let c name v = Metrics.add (Metrics.counter into name) v in
   c "explorer.states" s.states;
   c "explorer.edges" s.edges;
   c "explorer.memo_hits" s.memo_hits;
   c "explorer.por_cuts" s.por_cuts;
-  c "explorer.steals" s.steals;
-  c "explorer.lock_waits" s.lock_waits;
   let g name v = Metrics.record (Metrics.gauge into name) v in
   g "explorer.peak_frontier" (float_of_int s.peak_frontier);
   g "explorer.wall_s" s.wall;
@@ -102,8 +91,6 @@ let of_registry reg =
     peak_frontier = gmax "explorer.peak_frontier";
     wall = gsum "explorer.wall_s";
     domains = gmax "explorer.domains";
-    steals = c "explorer.steals";
-    lock_waits = c "explorer.lock_waits";
   }
 
 let pp_stats ppf s =
@@ -111,9 +98,7 @@ let pp_stats ppf s =
     "@[<v>exploration: %d states, %d transitions@ memo hits: %d, POR cuts: \
      %d@ peak frontier depth: %d@ wall time: %.6f s"
     s.states s.edges s.memo_hits s.por_cuts s.peak_frontier s.wall;
-  if s.domains > 0 then
-    Fmt.pf ppf "@ parallel: %d domains, %d steals, %d lock waits" s.domains
-      s.steals s.lock_waits;
+  if s.domains > 0 then Fmt.pf ppf "@ parallel: %d domains" s.domains;
   Fmt.pf ppf "@]"
 
 let stats_fields s =
@@ -126,8 +111,6 @@ let stats_fields s =
       ("peak_frontier", Int s.peak_frontier);
       ("wall_s", Float s.wall);
       ("domains", Int s.domains);
-      ("steals", Int s.steals);
-      ("lock_waits", Int s.lock_waits);
     ]
 
 (* A dummy sink so the hot loops mutate unconditionally instead of
@@ -138,9 +121,9 @@ let sink = function Some s -> s | None -> create_stats ()
 
    A record reaches the global registry only when its call ends, so a
    sampler reading just the registry would see a long exploration as a
-   flat line.  Instead every record still counting — an entry point's,
-   and each worker's of a parallel discovery loop — is registered here,
-   and {!live_progress} folds the registry together with them.
+   flat line.  Instead every entry point's record still counting is
+   registered here, and {!live_progress} folds the registry together
+   with them.
    [finish] removes a record and runs its hand-off {e under the same
    lock}, so any unit of work is visible exactly once — still counting
    or already handed over, never both, never neither.  That hand-off is
@@ -150,11 +133,11 @@ let sink = function Some s -> s | None -> create_stats ()
    jobs may share one.
 
    Reading an in-flight record from the sampler domain races with the
-   worker mutating it: the fields are mutable ints and one boxed float
-   — word-atomic under the OCaml memory model, never torn; a stale
-   read only under-counts for one tick.  The hot loops are untouched
-   (the sampler pulls), so a disabled heartbeat costs exploration
-   nothing at all. *)
+   exploring domain mutating it: the fields are mutable ints and one
+   boxed float — word-atomic under the OCaml memory model, never torn;
+   a stale read only under-counts for one tick.  The hot loops are
+   untouched (the sampler pulls), so a disabled heartbeat costs
+   exploration nothing at all. *)
 module Live = struct
   let mu = Mutex.create ()
   let cells : stats list ref = ref []
@@ -218,13 +201,14 @@ let observed name stats f =
               sp)
         (fun () -> f (Some s))
 
-(* Batch parallelism: independent jobs spread across the pool, one item
-   per job (claimed dynamically), each running the ordinary sequential
-   analyses — the pool must not be re-entered from inside a worker.
-   The jobs share the caller's record, which [f] closes over: each entry
-   point merges into it under the live lock.  The jobs' own explorations
-   run at pool size 1, so the batch itself reports the pool size, to the
-   record and to the [explorer.domains] gauge. *)
+(* The only parallelism: independent jobs spread across the pool, one
+   item per job (claimed dynamically), each running ordinary
+   explorations in the worker's own domain — the pool must not be
+   re-entered from inside a worker.  The jobs share the caller's record,
+   which [f] closes over: each entry point merges into it under the live
+   lock.  An exploration knows nothing of the pool, so the batch itself
+   reports the pool size, to the record and to the [explorer.domains]
+   gauge. *)
 let batch_map ?stats ?jobs ?pool f xs =
   Par.dispatch ?jobs ?pool
     ~seq:(fun () -> List.map f xs)
@@ -258,9 +242,8 @@ type 'ts state = {
   locks_id : int;
 }
 
-(* The interning context.  A pool of several workers needs the striped
-   tables of {!Par}; a lone worker gets their single-stripe, mutex-free
-   variants, so a run at pool size 1 pays no synchronisation. *)
+(* The interning context of one exploration, on tables only its domain
+   touches. *)
 type 'ts ctx = {
   sys : 'ts System.t;
   tkey : string -> int;  (** thread-state keys *)
@@ -268,27 +251,18 @@ type 'ts ctx = {
   mkey : string -> int;  (** monitors *)
   mems : int array -> int;  (** canonical memories *)
   lockts : int array -> int;  (** canonical monitor tables *)
-  arena_words : unit -> int;  (** packed words of the two tables above *)
 }
 
-let make_ctx ~shared sys =
-  let intern () =
-    Par.Intern.id
-      (if shared then Par.Intern.create () else Par.Intern.create_local ())
-  in
-  let table () =
-    if shared then Par.Ptbl.create ~dummy:() ()
-    else Par.Ptbl.create_local ~dummy:() ()
-  in
-  let mems = table () and lockts = table () in
+let make_ctx sys =
+  let intern () = Par.Intern.id (Par.Intern.create ()) in
+  let table () = Par.Ptbl.intern (Par.Ptbl.create ~dummy:() ()) in
   {
     sys;
     tkey = intern ();
     lkey = intern ();
     mkey = intern ();
-    mems = Par.Ptbl.intern mems;
-    lockts = Par.Ptbl.intern lockts;
-    arena_words = (fun () -> Par.Ptbl.words mems + Par.Ptbl.words lockts);
+    mems = table ();
+    lockts = table ();
   }
 
 let intern_mem ctx mem =
@@ -413,10 +387,10 @@ let enabled ctx st = transitions ctx st (offered ctx st)
 (* Persistent-set selection: if some thread's enabled transitions are
    all [local], that thread's transitions alone form a persistent set.
    The selection is a pure function of the state, so a state expands the
-   same transitions whichever worker reaches it, and every schedule
-   reaches the same states.  Sound for systems whose thread states offer
-   at most one step each; DESIGN.md §6.2 gives the argument, which also
-   shows that running {!race} on every expanded state decides DRF. *)
+   same transitions however the search reaches it.  Sound for systems
+   whose thread states offer at most one step each; DESIGN.md §6.2 gives
+   the argument, which also shows that running {!race} on every
+   expanded state decides DRF. *)
 let persistent_select local succs =
   let rec tids_of acc = function
     | [] -> List.rev acc
@@ -492,88 +466,50 @@ let race vol st steps succs =
    analyses that compute a result per state, by one memoised [fold]
    over the discovered graph.
 
-   Discovery runs on the {!Par.Ws} work-stealing scheduler, one deque
-   per pool worker.  A worker pops an item, expands its state, interns
-   each successor's digest in the packed {!Par.Ptbl} visited table and
-   pushes the successors it is the first to reach (the expensive part:
-   successor construction, interning, hashing).  Children are pushed
-   last-first, so a lone worker pops them in expansion order: at pool
-   size 1 the loop is a depth-first search in the calling domain, on
-   the single-stripe, mutex-free tables.  Larger pools use the striped
-   tables, and idle workers steal oldest-first.  An exception raised by
-   an expansion (a witness search's [Found]) aborts every worker and
-   surfaces from [discover]: that is how searches exit early.
+   Discovery is a depth-first search over an explicit stack, in the
+   calling domain.  It pops a state, expands it, interns each
+   successor's digest in the packed {!Par.Ptbl} visited table and
+   pushes the successors it is the first to reach, last-first, so that
+   it pops them in expansion order.  An exception raised by an
+   expansion (a witness search's [Found]) surfaces from [discover]:
+   that is how searches exit early.
 
    The optional reduction [select] keeps a persistent subset of each
    expansion.  It is a pure function of the state, and each state is
-   expanded once, by the worker that interns it, so the reached states
-   and the [edges] and [por_cuts] counters are the same at every pool
-   size.
+   expanded once.
 
    Edges are packed: a state's expansion is one unboxed [int array] of
-   (target id, label id) pairs, stored in the state's table entry by
-   the worker that expanded it and read only after the pool has joined.
-   Labels are interned per worker without locks — worker [w] of [nw]
-   numbers its labels [w], [w + nw], [w + 2nw], ... — so ids are unique
-   across the pool, and the fold maps each one back through the
-   workers' tables.  A witness search needs no graph ([~graph:false]):
-   it records no edges at all.
+   (target id, label id) pairs, stored in the state's table entry.
+   Labels are interned in order of first use.  A witness search needs
+   no graph ([~graph:false]): it records no edges at all.
 
-   Each item also carries its depth (the root is 1), and
-   [peak_frontier] is the deepest item expanded: at pool size 1 the
-   depth of the depth-first search. *)
+   Each stacked state also carries its depth (the root is 1), and
+   [peak_frontier] is the deepest state expanded: the depth of the
+   depth-first search. *)
 
 type meta = { mutable pedges : int array  (** the expansion, packed *) }
 
 type 'lbl discovered = {
   root : int;
   succ : int array array;  (** state id -> (target, label) id pairs *)
-  labels : ('lbl, int) Hashtbl.t array;  (** per-worker label ids *)
-  shared : bool;  (** discovered by a pool of several workers *)
+  labels : ('lbl, int) Hashtbl.t;
 }
 
-(* Per-worker scheduler hooks.  The [par.*] metrics, like the
-   [explore.discover]/[explore.fold] spans, are recorded only for pools
-   of several workers, so telemetry costs the many small explorations
-   of a batch nothing. *)
-let ws_hooks ~shared (s : stats) =
-  let wait (_ : float) = s.lock_waits <- s.lock_waits + 1 in
-  let steal (_ : int) = s.steals <- s.steals + 1 in
-  if shared && Metrics.enabled () then begin
-    let waits = Metrics.histogram Metrics.global "par.lock_wait_s" in
-    let steals = Metrics.counter Metrics.global "par.steals" in
-    let depth = Metrics.gauge Metrics.global "par.deque_depth" in
-    ( (fun dt ->
-        wait dt;
-        Metrics.observe waits dt),
-      (fun n ->
-        steal n;
-        Metrics.add steals n),
-      Some (fun d -> Metrics.record depth (float_of_int d)) )
-  end
-  else (wait, steal, None)
-
-let discover (type st lbl) ~pool ~max_states ~(stats : stats) ?(graph = true)
-    ?(arena_words = fun () -> 0) ?select ~(digest : st -> int array)
-    ~(expand : int -> st -> (lbl * st) list) (root : st) : lbl discovered =
-  let nw = Par.Pool.size pool in
-  let shared = nw > 1 in
-  let dummy = { pedges = [||] } in
-  let tbl =
-    if shared then Par.Ptbl.create ~dummy ()
-    else Par.Ptbl.create_local ~dummy ()
-  in
-  let labels = Array.init nw (fun _ -> Hashtbl.create 64) in
-  let label_id w l =
-    let t = labels.(w) in
-    match Hashtbl.find_opt t l with
+let discover (type st lbl) ~max_states ~(stats : stats) ?(graph = true)
+    ?select ~(digest : st -> int array) ~(expand : st -> (lbl * st) list)
+    (root : st) : lbl discovered =
+  let tbl = Par.Ptbl.create ~dummy:{ pedges = [||] } () in
+  let labels = Hashtbl.create 64 in
+  let label_id l =
+    match Hashtbl.find_opt labels l with
     | Some i -> i
     | None ->
-        let i = (Hashtbl.length t * nw) + w in
-        Hashtbl.add t l i;
+        let i = Hashtbl.length labels in
+        Hashtbl.add labels l i;
         i
   in
-  (* Intern [st]; the first arrival gets the work item that expands it. *)
+  (* Intern [st]; the first arrival gets the stack item that expands
+     it, and counts against the budget. *)
   let arrive st depth =
     match
       Par.Ptbl.update tbl (digest st) (function
@@ -582,86 +518,48 @@ let discover (type st lbl) ~pool ~max_states ~(stats : stats) ?(graph = true)
             (m, Some m)
         | Some m -> (m, None))
     with
-    | id, Some m -> (id, Some (id, st, m, depth))
+    | id, Some m ->
+        stats.states <- stats.states + 1;
+        if Par.Ptbl.length tbl > max_states then
+          raise (Too_many_states (Par.Ptbl.length tbl));
+        (id, Some (st, m, depth))
     | id, None -> (id, None)
   in
-  let total = Atomic.make 0 in
-  let budget (s : stats) =
-    s.states <- s.states + 1;
-    let n = Atomic.fetch_and_add total 1 + 1 in
-    if n > max_states then raise (Too_many_states n)
-  in
-  let process w (s : stats) (id, st, m, depth) push =
-    if depth > s.peak_frontier then s.peak_frontier <- depth;
-    let succs = expand id st in
+  let expand_item (st, m, depth) stack =
+    if depth > stats.peak_frontier then stats.peak_frontier <- depth;
+    let succs = expand st in
     let selected =
       match select with
       | Some select ->
           let selected = select succs in
-          s.por_cuts <-
-            s.por_cuts + (List.length succs - List.length selected);
+          stats.por_cuts <-
+            stats.por_cuts + (List.length succs - List.length selected);
           selected
       | None -> succs
     in
     let edges =
       if graph then Array.make (2 * List.length selected) 0 else [||]
     in
-    let next = ref [] in
+    let fresh = ref [] in
     List.iteri
       (fun k (l, st') ->
-        s.edges <- s.edges + 1;
+        stats.edges <- stats.edges + 1;
         let id', item = arrive st' (depth + 1) in
         if graph then begin
           edges.(2 * k) <- id';
-          edges.((2 * k) + 1) <- label_id w l
+          edges.((2 * k) + 1) <- label_id l
         end;
-        Option.iter
-          (fun item ->
-            budget s;
-            next := item :: !next)
-          item)
+        Option.iter (fun item -> fresh := item :: !fresh) item)
       selected;
-    List.iter push !next;
-    if graph then m.pedges <- edges
+    if graph then m.pedges <- edges;
+    List.rev_append !fresh stack
   in
-  (* A lone worker is the calling domain and counts straight into the
-     call's record.  A pool's workers count privately and hand their
-     records over at the join, on every exit — a witness found, a budget
-     exceeded — so partial work is counted, as the witness searches
-     report it. *)
-  let wstats =
-    if shared then Array.init nw (fun _ -> create_stats ()) else [| stats |]
+  let rec search = function
+    | [] -> ()
+    | item :: stack -> search (expand_item item stack)
   in
-  if shared && Metrics.enabled () then Array.iter Live.track wstats;
-  let ws = Par.Ws.create nw in
-  let sp =
-    if shared && Tracer.enabled () then Tracer.span "explore.discover"
-    else Tracer.none
-  in
-  let root_id =
-    Fun.protect
-      ~finally:(fun () ->
-        Tracer.close_span ~attrs:[ ("states", Ev.Int (Atomic.get total)) ] sp;
-        if shared then begin
-          Array.iter
-            (fun w -> Live.finish w (fun () -> merge_stats ~into:stats w))
-            wstats;
-          stats.domains <- max stats.domains nw
-        end)
-      (fun () ->
-        let id, item = arrive root 1 in
-        budget wstats.(0);
-        Par.Ws.seed ws (Option.get item);
-        Par.Pool.run pool (fun w ->
-            let s = wstats.(w) in
-            let on_wait, on_steal, on_peak = ws_hooks ~shared s in
-            Par.Ws.run ws w ~on_wait ~on_steal ?on_peak (process w s));
-        id)
-  in
-  if shared && Metrics.enabled () then
-    Metrics.record
-      (Metrics.gauge Metrics.global "par.arena_words")
-      (float_of_int (Par.Ptbl.words tbl + arena_words ()));
+  let root_id, item = arrive root 1 in
+  search (Option.to_list item);
   let succ =
     if graph then begin
       let succ = Array.make (Par.Ptbl.length tbl) [||] in
@@ -670,18 +568,15 @@ let discover (type st lbl) ~pool ~max_states ~(stats : stats) ?(graph = true)
     end
     else [||]
   in
-  { root = root_id; succ; labels; shared }
+  { root = root_id; succ; labels }
 
 (* The memoised suffix fold over a discovered graph: a state's result is
    [empty] united with [label l r'] for each edge, [r'] the target's
    result.  Raises [Cyclic] exactly when a cycle is reachable. *)
 let fold (type r lbl) ~(empty : r) ~(union : r -> r -> r)
     ~(label : lbl -> r -> r) ~(stats : stats) (g : lbl discovered) : r =
-  let width =
-    Array.fold_left (fun m t -> max m (Hashtbl.length t)) 0 g.labels
-  in
-  let lab = Array.make (Array.length g.labels * width) Fun.id in
-  Array.iter (Hashtbl.iter (fun l i -> lab.(i) <- label l)) g.labels;
+  let lab = Array.make (Hashtbl.length g.labels) Fun.id in
+  Hashtbl.iter (fun l i -> lab.(i) <- label l) g.labels;
   let n = Array.length g.succ in
   let memo = Array.make n empty in
   let mark = Bytes.make n 'u' (* unvisited, on the stack, done *) in
@@ -702,19 +597,7 @@ let fold (type r lbl) ~(empty : r) ~(union : r -> r -> r)
         Bytes.set mark id 'd';
         !r
   in
-  let sp =
-    if g.shared && Tracer.enabled () then Tracer.span "explore.fold"
-    else Tracer.none
-  in
-  Fun.protect ~finally:(fun () -> Tracer.close_span sp) (fun () -> go g.root)
-
-(* [?jobs]/[?pool] only choose the pool the loop runs on.  The shared
-   one-worker pool runs every job in the calling domain and holds no
-   state, so any domain may use it at any time. *)
-let solo = Par.Pool.create 1
-
-let with_pool ?jobs ?pool f =
-  Par.dispatch ?jobs ?pool ~seq:(fun () -> f solo) ~par:f ()
+  go g.root
 
 let prepend_external a sub =
   match a with
@@ -725,13 +608,11 @@ let prepend_external a sub =
 (* Behaviours and state counts                                         *)
 (* ------------------------------------------------------------------ *)
 
-let sys_graph ~pool ~max_states ~stats ?(expand = enabled) sys =
-  let ctx = make_ctx ~shared:(Par.Pool.size pool > 1) sys in
-  discover ~pool ~max_states ~stats ~arena_words:ctx.arena_words
+let sys_graph ~max_states ~stats ?(expand = enabled) sys =
+  let ctx = make_ctx sys in
+  discover ~max_states ~stats
     ~select:(persistent_select sys.System.local)
-    ~digest:state_digest
-    ~expand:(fun _ -> expand ctx)
-    (initial ctx)
+    ~digest:state_digest ~expand:(expand ctx) (initial ctx)
 
 let behaviour_fold ~stats g =
   fold
@@ -740,35 +621,31 @@ let behaviour_fold ~stats g =
     ~label:(fun (_, a) -> prepend_external a)
     ~stats g
 
-let behaviours ?(max_states = default_max_states) ?stats ?jobs ?pool sys =
+let behaviours ?(max_states = default_max_states) ?stats sys =
   observed "explorer.behaviours" stats @@ fun stats ->
-  with_pool ?jobs ?pool @@ fun pool ->
   let stats = sink stats in
-  behaviour_fold ~stats (sys_graph ~pool ~max_states ~stats sys)
+  behaviour_fold ~stats (sys_graph ~max_states ~stats sys)
 
 (* One exploration, two answers: the expansion also runs the race test
    on every state until one races. *)
-let behaviours_and_drf ?(max_states = default_max_states) ?stats ?jobs ?pool
-    vol sys =
+let behaviours_and_drf ?(max_states = default_max_states) ?stats vol sys =
   observed "explorer.behaviours_drf" stats @@ fun stats ->
-  with_pool ?jobs ?pool @@ fun pool ->
   let stats = sink stats in
-  let racy = Atomic.make false in
+  let racy = ref false in
   let expand ctx st =
     let steps = offered ctx st in
     let succs = transitions ctx st steps in
-    if (not (Atomic.get racy)) && Option.is_some (race vol st steps succs)
-    then Atomic.set racy true;
+    if (not !racy) && Option.is_some (race vol st steps succs) then
+      racy := true;
     succs
   in
-  let g = sys_graph ~pool ~max_states ~stats ~expand sys in
-  (behaviour_fold ~stats g, not (Atomic.get racy))
+  let g = sys_graph ~max_states ~stats ~expand sys in
+  (behaviour_fold ~stats g, not !racy)
 
-let count_states ?(max_states = default_max_states) ?stats ?jobs ?pool sys =
+let count_states ?(max_states = default_max_states) ?stats sys =
   observed "explorer.count_states" stats @@ fun stats ->
-  with_pool ?jobs ?pool @@ fun pool ->
   let stats = sink stats in
-  let g = sys_graph ~pool ~max_states ~stats sys in
+  let g = sys_graph ~max_states ~stats sys in
   fold ~empty:() ~union:(fun () () -> ()) ~label:(fun _ () -> ()) ~stats g;
   Array.length g.succ
 
@@ -778,7 +655,7 @@ let count_states ?(max_states = default_max_states) ?stats ?jobs ?pool sys =
 
 let maximal_executions_seq ?(max_steps = 1_000_000) ?stats sys =
   let s = sink stats in
-  let ctx = make_ctx ~shared:false sys in
+  let ctx = make_ctx sys in
   let steps = ref 0 in
   let rec go st rev_path : Interleaving.t Seq.t =
    fun () ->
@@ -820,10 +697,9 @@ let extend w succs =
       (l, { at = st'; path = Interleaving.pair tid a :: w.path }))
     succs
 
-let walk ~pool ~max_states ~stats ?select ~expand ctx =
+let walk ~max_states ~stats ?select ~expand ctx =
   ignore
-    (discover ~pool ~max_states ~stats:(sink stats) ~graph:false
-       ~arena_words:ctx.arena_words ?select
+    (discover ~max_states ~stats:(sink stats) ~graph:false ?select
        ~digest:(fun w -> state_digest w.at)
        ~expand
        { at = initial ctx; path = [] })
@@ -833,13 +709,11 @@ let walk ~pool ~max_states ~stats ?select ~expand ctx =
    transition, then the step it races with.  Every state on that path
    was expanded, so its transitions were tested before the walk went
    on: a witness's first adjacent race is its last two actions. *)
-let find_adjacent_race ?(max_states = default_max_states) ?stats ?jobs ?pool
-    vol sys =
+let find_adjacent_race ?(max_states = default_max_states) ?stats vol sys =
   observed "explorer.race_search" stats @@ fun stats ->
-  with_pool ?jobs ?pool @@ fun pool ->
-  let ctx = make_ctx ~shared:(Par.Pool.size pool > 1) sys in
+  let ctx = make_ctx sys in
   let exception Found of Interleaving.t in
-  let expand _ w =
+  let expand w =
     let steps = offered ctx w.at in
     let succs = transitions ctx w.at steps in
     match race vol w.at steps succs with
@@ -851,7 +725,7 @@ let find_adjacent_race ?(max_states = default_max_states) ?stats ?jobs ?pool
     | None -> extend w succs
   in
   match
-    walk ~pool ~max_states ~stats ~select:(persistent_select sys.System.local)
+    walk ~max_states ~stats ~select:(persistent_select sys.System.local)
       ~expand ctx
   with
   | () -> None
@@ -859,16 +733,16 @@ let find_adjacent_race ?(max_states = default_max_states) ?stats ?jobs ?pool
 
 let find_deadlock ?(max_states = default_max_states) ?stats sys =
   observed "explorer.deadlock" stats @@ fun stats ->
-  let ctx = make_ctx ~shared:false sys in
+  let ctx = make_ctx sys in
   let exception Found of Interleaving.t in
-  let expand _ w =
+  let expand w =
     match enabled ctx w.at with
     | [] when Array.exists (fun ts -> sys.System.steps ts <> []) w.at.threads
       ->
         raise (Found (List.rev w.path))
     | succs -> extend w succs
   in
-  match walk ~pool:solo ~max_states ~stats ~expand ctx with
+  match walk ~max_states ~stats ~expand ctx with
   | () -> None
   | exception Found i -> Some i
 
@@ -877,7 +751,7 @@ let find_deadlock ?(max_states = default_max_states) ?stats sys =
 (* ------------------------------------------------------------------ *)
 
 let sample_runs ?(max_actions = 10_000) ~seed ~runs sys =
-  let ctx = make_ctx ~shared:false sys in
+  let ctx = make_ctx sys in
   Seq.init runs (fun run ->
       (* one generator per run, so the stream is re-evaluable and a
          consumer may stop after any prefix without changing the rest *)
@@ -919,18 +793,14 @@ type 'st graph = {
   graph_digest : 'st -> int list;
 }
 
-let graph_behaviours ?(max_states = default_max_states) ?stats ?jobs ?pool
-    build =
+let graph_behaviours ?(max_states = default_max_states) ?stats g =
   observed "explorer.graph" stats @@ fun stats ->
-  with_pool ?jobs ?pool @@ fun pool ->
   let stats = sink stats in
-  let g = build ~shared:(Par.Pool.size pool > 1) in
   fold
     ~empty:(Behaviour.Set.singleton [])
     ~union:Behaviour.Set.union
     ~label:(function Some a -> prepend_external a | None -> Fun.id)
     ~stats
-    (discover ~pool ~max_states ~stats
+    (discover ~max_states ~stats
        ~digest:(fun st -> Array.of_list (g.graph_digest st))
-       ~expand:(fun _ -> g.graph_transitions)
-       g.graph_initial)
+       ~expand:g.graph_transitions g.graph_initial)

@@ -23,8 +23,8 @@
       Reduced and full behaviour sets and DRF verdicts coincide;
       DESIGN.md §6.2 gives the argument.
 
-    - {b Work stealing at any pool size.}  The loop runs on the
-      {!Par.Ws} scheduler; see {e Pool size} below.
+    - {b One domain per exploration.}  The loop is a depth-first
+      search in the calling domain; see {e Domains} below.
 
     - {b Streaming.}  Maximal executions are produced as a lazy
       {!Seq.t}, so consumers searching for a witness stop at the first
@@ -49,18 +49,12 @@ type stats = {
   mutable memo_hits : int;  (** visits answered from the memo table *)
   mutable por_cuts : int;  (** transitions pruned by the reduction *)
   mutable peak_frontier : int;
-      (** depth of the deepest state expanded, the root being 1: at
-          pool size 1 the depth of the depth-first search *)
+      (** depth of the deepest state expanded, the root being 1: the
+          depth of the depth-first search *)
   mutable wall : float;  (** accumulated wall-clock seconds (monotonic) *)
   mutable domains : int;
-      (** largest pool size a run used; 0 if every run used one worker *)
-  mutable steals : int;
-      (** successful steal scans across workers (each moves up to half
-          of a victim deque) *)
-  mutable lock_waits : int;
-      (** genuine starvation parks across workers: a worker slept on
-          the scheduler's condition variable and woke to more work
-          (termination and abort wakeups are not counted) *)
+      (** largest pool a batch ({!batch_map}) ran on; 0 if every batch
+          ran in one domain *)
 }
 
 val create_stats : unit -> stats
@@ -71,17 +65,17 @@ val merge_stats : into:stats -> stats -> unit
     [peak_frontier] and [domains] take the maximum.  Every entry point
     counts into a fresh record and merges it into the caller's [?stats]
     record once, when the call ends, under the lock {!live_progress}
-    reads; parallel workers of one exploration likewise count privately
-    and merge at the join. *)
+    reads. *)
 
 val pp_stats : Format.formatter -> stats -> unit
-(** Human-readable rendering.  The parallel counters are printed only
-    when [domains > 0], i.e. when some run used several workers. *)
+(** Human-readable rendering.  The [parallel: N domains] line is
+    printed only when [domains > 0], i.e. when some batch ran on several
+    domains. *)
 
 val stats_fields : stats -> (string * Safeopt_obs.Json.t) list
 (** The record as JSON fields (states, edges, memo_hits, por_cuts,
-    peak_frontier, wall_s, domains, steals, lock_waits): the heartbeat's
-    progress object and the bench records' [explorer_stats]. *)
+    peak_frontier, wall_s, domains): the heartbeat's progress object and
+    the bench records' [explorer_stats]. *)
 
 val publish : into:Safeopt_obs.Metrics.t -> stats -> unit
 (** Record a finished record into a metrics registry ([explorer.*]
@@ -97,13 +91,13 @@ val of_registry : Safeopt_obs.Metrics.t -> stats
 
 val live_progress : unit -> stats
 (** A consistent point-in-time view of total exploration progress:
-    everything already published into [Metrics.global] {e plus} every
-    record still counting (entry points in flight, per-worker records
-    of a parallel discovery loop).  Safe to call from any domain — this
-    is the heartbeat sampler's progress source.  A record leaves the
-    in-flight set and is published under the same lock this reads, so
-    consecutive calls are monotone in every cumulative counter, and
-    after the run returns the view equals the registry alone.
+    everything already published into [Metrics.global] {e plus} the
+    record of every entry point still in flight.  Safe to call from any
+    domain — this is the heartbeat sampler's progress source.  A record
+    leaves the in-flight set and is published under the same lock this
+    reads, so consecutive calls are monotone in every cumulative
+    counter, and after the run returns the view equals the registry
+    alone.
     Meaningful only while [Metrics.enabled ()]. *)
 
 val batch_map :
@@ -115,43 +109,34 @@ val batch_map :
   'b list
 (** [batch_map ?stats ?jobs ?pool f xs] is [List.map f xs], sharded
     across the pool one item per job (claimed dynamically) when
-    [jobs]/[pool] ask for several workers.  Each job must run sequential
-    analyses only: the pool is not re-entered from inside a worker.
-    The jobs may share the caller's record [stats] — every entry point
-    merges into it under a lock — and a parallel run raises
-    [stats.domains] to the pool size and, while [Metrics.enabled ()],
-    records it into the [explorer.domains] gauge. *)
+    [jobs]/[pool] ask for several workers: the only way explorations
+    run in parallel.  [?pool] (a caller-managed pool, reused across
+    many batches) takes precedence over [?jobs] (a one-shot pool per
+    call, resolved through {!Par.resolve_jobs}: [0] means all
+    recommended cores).  Each job runs its explorations in its worker's
+    domain; the pool is not re-entered from inside a worker.  The jobs
+    may share the caller's record [stats] — every entry point merges
+    into it under a lock — and a parallel run raises [stats.domains] to
+    the pool size and, while [Metrics.enabled ()], records it into the
+    [explorer.domains] gauge. *)
 
 (** {1 Exhaustive analyses over thread systems}
 
-    {2 Pool size}
+    {2 Domains}
 
-    The exhaustive analyses below (all but {!find_deadlock}) accept
-    [?jobs] / [?pool], which only
-    choose the {!Par.Pool.t} the one loop runs on.  [?pool] (a
-    caller-managed pool, reused across many explorations) takes
-    precedence over [?jobs] (a one-shot pool per call, resolved through
-    {!Par.resolve_jobs}: [0] means all recommended cores).  Without
-    either, or at size 1, the loop runs in the calling domain on the
-    single-stripe, mutex-free tables ({!Par.Ptbl.create_local}), pushing
-    children so that it searches depth-first in expansion order.
-
-    Larger pools discover the state graph across per-worker
-    work-stealing deques ({!Par.Ws}: own deque LIFO, steals FIFO;
-    dedupe through the striped packed digest table {!Par.Ptbl}), then
-    fold results over the discovered graph.  The reduction holds at
-    every size: persistent-set selection is a pure per-state decision,
-    and each state is expanded once.  {b Results are identical} at
-    every pool size: same behaviour sets, same DRF verdicts, same
-    [Cyclic] / [Too_many_states] outcomes, and the same [states],
-    [edges] and [por_cuts] counts.  Only witness {e choice} may differ
-    where several witnesses exist. *)
+    Every exploration below runs in the domain that calls it, as one
+    depth-first search on tables no other domain touches ({!Par.Ptbl},
+    {!Par.Intern}) that expands each state's successors in the order
+    they are generated.  Its results — behaviour sets, DRF verdicts,
+    [Cyclic] / [Too_many_states] outcomes, the [states], [edges],
+    [por_cuts] and [peak_frontier] counts, and the witness a search
+    returns — are a function of the system alone.  Independent
+    explorations run in parallel through {!batch_map}; each is still
+    one domain's search. *)
 
 val behaviours :
   ?max_states:int ->
   ?stats:stats ->
-  ?jobs:int ->
-  ?pool:Par.Pool.t ->
   'ts System.t ->
   Behaviour.Set.t
 (** The set of behaviours of all executions.  Prefix-closed, and the
@@ -162,8 +147,6 @@ val behaviours :
 val count_states :
   ?max_states:int ->
   ?stats:stats ->
-  ?jobs:int ->
-  ?pool:Par.Pool.t ->
   'ts System.t ->
   int
 (** Number of distinct scheduler states explored: fewer where the
@@ -172,8 +155,6 @@ val count_states :
 val behaviours_and_drf :
   ?max_states:int ->
   ?stats:stats ->
-  ?jobs:int ->
-  ?pool:Par.Pool.t ->
   Location.Volatile.t ->
   'ts System.t ->
   Behaviour.Set.t * bool
@@ -202,8 +183,6 @@ val count_executions : ?max_steps:int -> ?stats:stats -> 'ts System.t -> int
 val find_adjacent_race :
   ?max_states:int ->
   ?stats:stats ->
-  ?jobs:int ->
-  ?pool:Par.Pool.t ->
   Location.Volatile.t ->
   'ts System.t ->
   Interleaving.t option
@@ -212,16 +191,15 @@ val find_adjacent_race :
     one exists.  The search walks the graph {!behaviours_and_drf}
     explores, with the same race test, and stops at the first state
     that races: the witness is the path to it, the racing transition
-    and the step it races with.  The verdict is the same at every pool
-    size; the particular witness may differ between sizes and, above
-    size 1, between runs. *)
+    and the step it races with.  The search order is fixed, so the
+    witness is too. *)
 
 val find_deadlock :
   ?max_states:int -> ?stats:stats -> 'ts System.t -> Interleaving.t option
 (** A witness execution reaching a state with no enabled transition
     while some thread still offers steps (blocked on a lock).  The
-    search runs the one loop on a single worker and stops at the first
-    such state. *)
+    search runs the one loop, unreduced, and stops at the first such
+    state. *)
 
 (** {1 Randomised sampling} *)
 
@@ -258,17 +236,10 @@ type 'st graph = {
 val graph_behaviours :
   ?max_states:int ->
   ?stats:stats ->
-  ?jobs:int ->
-  ?pool:Par.Pool.t ->
-  (shared:bool -> 'st graph) ->
+  'st graph ->
   Behaviour.Set.t
-(** [graph_behaviours build] is the prefix-closed behaviour set of the
-    graph [build ~shared], memoised on the interned digest.  Raises
-    {!Cyclic} / {!Too_many_states} as above.  [jobs]/[pool] choose the
-    pool as described under {e Pool size}; the resulting set is
-    identical at every size.  [shared] says whether that pool has
-    several workers.  If so, the engine calls [graph_transitions] and
-    [graph_digest] from several worker domains concurrently, so any
-    state the closures share (e.g. interning tables) must be
-    thread-safe — {!Par.Intern.create} is made for this; otherwise
-    {!Par.Intern.create_local} saves the locking. *)
+(** [graph_behaviours g] is the prefix-closed behaviour set of the
+    graph [g], memoised on the interned digest.  Raises {!Cyclic} /
+    {!Too_many_states} as above.  The engine calls [graph_transitions]
+    and [graph_digest] from the calling domain only, so tables the
+    closures share need no locks ({!Par.Intern}). *)

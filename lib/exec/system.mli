@@ -48,6 +48,10 @@ type 'ts t = {
           at most one step, so a system whose threads may offer several
           answers [false] throughout and is explored in full. *)
 }
+(** A system is explored by one domain at a time: {!Explorer} runs each
+    exploration in the domain that asks for it, and parallel batches
+    build one system per job.  So the closures may keep unsynchronised
+    state, such as a [lazy] that [local] forces on its first call. *)
 
 val encode : 'a -> string
 (** [encode v] is a binary key of [v]'s structure: one

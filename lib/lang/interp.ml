@@ -1,18 +1,18 @@
 open Safeopt_trace
 open Safeopt_exec
 
-let behaviours ?fuel ?max_states ?stats ?jobs ?pool p =
-  Explorer.behaviours ?max_states ?stats ?jobs ?pool (Thread_system.make ?fuel p)
+let behaviours ?fuel ?max_states ?stats p =
+  Explorer.behaviours ?max_states ?stats (Thread_system.make ?fuel p)
 
-let find_race ?fuel ?max_states ?stats ?jobs ?pool p =
-  Explorer.find_adjacent_race ?max_states ?stats ?jobs ?pool p.Ast.volatile
+let find_race ?fuel ?max_states ?stats p =
+  Explorer.find_adjacent_race ?max_states ?stats p.Ast.volatile
     (Thread_system.make ?fuel p)
 
-let is_drf ?fuel ?max_states ?stats ?jobs ?pool p =
-  Option.is_none (find_race ?fuel ?max_states ?stats ?jobs ?pool p)
+let is_drf ?fuel ?max_states ?stats p =
+  Option.is_none (find_race ?fuel ?max_states ?stats p)
 
-let behaviours_and_drf ?fuel ?max_states ?stats ?jobs ?pool p =
-  Explorer.behaviours_and_drf ?max_states ?stats ?jobs ?pool p.Ast.volatile
+let behaviours_and_drf ?fuel ?max_states ?stats p =
+  Explorer.behaviours_and_drf ?max_states ?stats p.Ast.volatile
     (Thread_system.make ?fuel p)
 
 let maximal_executions ?fuel ?max_steps ?stats p =
@@ -22,9 +22,8 @@ let maximal_executions_seq ?fuel ?max_steps ?stats p =
   Explorer.maximal_executions_seq ?max_steps ?stats
     (Thread_system.make ?fuel p)
 
-let count_states ?fuel ?max_states ?stats ?jobs ?pool p =
-  Explorer.count_states ?max_states ?stats ?jobs ?pool
-    (Thread_system.make ?fuel p)
+let count_states ?fuel ?max_states ?stats p =
+  Explorer.count_states ?max_states ?stats (Thread_system.make ?fuel p)
 
 let find_deadlock ?fuel ?max_states ?stats p =
   Explorer.find_deadlock ?max_states ?stats (Thread_system.make ?fuel p)

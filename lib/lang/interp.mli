@@ -17,50 +17,36 @@ val behaviours :
   ?fuel:int ->
   ?max_states:int ->
   ?stats:Explorer.stats ->
-  ?jobs:int ->
-  ?pool:Par.Pool.t ->
   Ast.program ->
   Behaviour.Set.t
-(** All observable behaviours of all SC executions (prefix-closed).
-    [jobs]/[pool] run the exploration across domains
-    ([Safeopt_exec.Par]); the behaviour set is identical to the
-    sequential one. *)
+(** All observable behaviours of all SC executions (prefix-closed). *)
 
 val is_drf :
   ?fuel:int ->
   ?max_states:int ->
   ?stats:Explorer.stats ->
-  ?jobs:int ->
-  ?pool:Par.Pool.t ->
   Ast.program ->
   bool
 (** No execution has two adjacent conflicting accesses from different
-    threads.  The verdict is deterministic under [jobs]/[pool]. *)
+    threads. *)
 
 val find_race :
   ?fuel:int ->
   ?max_states:int ->
   ?stats:Explorer.stats ->
-  ?jobs:int ->
-  ?pool:Par.Pool.t ->
   Ast.program ->
   Interleaving.t option
-(** A witness racy execution, if any.  Under [jobs]/[pool] the
-    existence verdict matches the sequential search; the particular
-    witness may differ. *)
+(** A witness racy execution, if any. *)
 
 val behaviours_and_drf :
   ?fuel:int ->
   ?max_states:int ->
   ?stats:Explorer.stats ->
-  ?jobs:int ->
-  ?pool:Par.Pool.t ->
   Ast.program ->
   Behaviour.Set.t * bool
 (** [(behaviours p, is_drf p)] from one exploration: the two questions
     the DRF guarantee asks of a program under SC.  No witness is kept;
-    {!find_race} gives one.  Both answers are identical at every pool
-    size. *)
+    {!find_race} gives one. *)
 
 val maximal_executions :
   ?fuel:int -> ?max_steps:int -> ?stats:Explorer.stats -> Ast.program ->
@@ -76,8 +62,6 @@ val count_states :
   ?fuel:int ->
   ?max_states:int ->
   ?stats:Explorer.stats ->
-  ?jobs:int ->
-  ?pool:Par.Pool.t ->
   Ast.program ->
   int
 

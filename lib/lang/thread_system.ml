@@ -18,20 +18,26 @@ let rec stmt_has_loop = function
 
 let has_loop p = List.exists (List.exists stmt_has_loop) p.Ast.threads
 
-(* Starts, and accesses to locations that only one thread mentions. *)
+(* Starts, and accesses to locations that only one thread mentions.
+   The set of shared locations is computed on first use: the
+   store-buffer machines, the deadlock search, the execution streams
+   and the sampler never ask.  A system is explored by one domain at a
+   time (System.t), so a plain [lazy] is enough. *)
 let local_actions p =
-  let shared, _ =
-    List.fold_left
-      (fun (shared, seen) fv ->
-        Location.Set.(union shared (inter seen fv), union seen fv))
-      (Location.Set.empty, Location.Set.empty)
-      (List.map Ast.fv_thread p.Ast.threads)
+  let shared =
+    lazy
+      (fst
+         (List.fold_left
+            (fun (shared, seen) fv ->
+              Location.Set.(union shared (inter seen fv), union seen fv))
+            (Location.Set.empty, Location.Set.empty)
+            (List.map Ast.fv_thread p.Ast.threads)))
   in
   function
   | Action.Start _ -> true
   | a -> (
       match Action.location a with
-      | Some l -> not (Location.Set.mem l shared)
+      | Some l -> not (Location.Set.mem l (Lazy.force shared))
       | None -> false)
 
 let make ?(fuel = 64) p =

@@ -48,8 +48,7 @@ let cell m ~pass ~model =
    the transformed program (present) and the original (absent) under
    the cell's model, so the matrix never reports a counterexample the
    machine cannot actually reproduce. *)
-let check_cell ?fuel ?max_states ?stats ?jobs ?pool ~(pass : Pass.t) ~model
-    changed =
+let check_cell ?fuel ?max_states ?stats ((pass : Pass.t), model, changed) =
   let sp =
     if Tracer.enabled () then
       Tracer.span
@@ -65,8 +64,8 @@ let check_cell ?fuel ?max_states ?stats ?jobs ?pool ~(pass : Pass.t) ~model
     | [] -> if changed = [] then Inert else Safe
     | (name, p, p') :: rest -> (
         let o =
-          Validate.run_validator ?fuel ?max_states ?stats ?jobs ?pool ~model
-            Validate.Auto ~original:p ~transformed:p' ()
+          Validate.run_validator ?fuel ?max_states ?stats ~model Validate.Auto
+            ~original:p ~transformed:p' ()
         in
         if Validate.outcome_ok o then go rest
         else
@@ -82,8 +81,8 @@ let check_cell ?fuel ?max_states ?stats ?jobs ?pool ~(pass : Pass.t) ~model
                 match b with
                 | None -> false
                 | Some b ->
-                    Model.replays ?fuel ?max_states ?jobs ?pool model p' b
-                    && not (Model.replays ?fuel ?max_states ?jobs ?pool model p b)
+                    Model.replays ?fuel ?max_states model p' b
+                    && not (Model.replays ?fuel ?max_states model p b)
               in
               Unsafe
                 {
@@ -119,12 +118,12 @@ let sweep ?fuel ?max_states ?stats ?jobs ?pool ?(passes = Pipeline.registry)
   let programs =
     List.map (fun (t : Litmus.t) -> (t.Litmus.name, Litmus.program t)) tests
   in
+  (* The rewrite is model-independent: apply the pass once per test and
+     validate only the programs it actually changed, under every model.
+     The cells are independent: each is one batch job. *)
   let cells =
     List.concat_map
       (fun (pass : Pass.t) ->
-        (* The rewrite is model-independent: apply the pass once per
-           test and validate only the programs it actually changed,
-           under every model. *)
         let changed =
           List.filter_map
             (fun (name, p) ->
@@ -133,12 +132,10 @@ let sweep ?fuel ?max_states ?stats ?jobs ?pool ?(passes = Pipeline.registry)
               else Some (name, p, r.Pass.program))
             programs
         in
-        List.map
-          (fun model ->
-            check_cell ?fuel ?max_states ?stats ?jobs ?pool ~pass ~model
-              changed)
-          models)
+        List.map (fun model -> (pass, model, changed)) models)
       passes
+    |> Explorer.batch_map ?stats ?jobs ?pool
+         (check_cell ?fuel ?max_states ?stats)
   in
   Tracer.close_span
     ~attrs:

@@ -67,7 +67,9 @@ val sweep :
     pair is validated per model with {!Safeopt_opt.Validate.Auto} —
     whose verdict equals model-exhaustive enumeration — stopping at the
     first failing test.  Verdicts are corpus-relative: [Safe] is "no
-    corpus counterexample", not a proof. *)
+    corpus counterexample", not a proof.  [jobs]/[pool] shard the
+    cells across domains, one (pass, model) cell per batch job
+    ({!Explorer.batch_map}); the matrix is unchanged. *)
 
 val cell : matrix -> pass:string -> model:Model.t -> cell option
 val unsafe_cells : matrix -> (cell * unsafe_evidence) list

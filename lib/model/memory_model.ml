@@ -29,16 +29,16 @@ let describe = function
       "partial store order (hardware model: per-location store buffers, \
        safety is behaviour inclusion)"
 
-let behaviours ?fuel ?max_states ?stats ?jobs ?pool m p =
+let behaviours ?fuel ?max_states ?stats m p =
   match m with
-  | Sc -> Interp.behaviours ?fuel ?max_states ?stats ?jobs ?pool p
-  | Tso -> Store_buffer.Tso.program_behaviours ?fuel ?max_states ?stats ?jobs ?pool p
-  | Pso -> Store_buffer.Pso.program_behaviours ?fuel ?max_states ?stats ?jobs ?pool p
+  | Sc -> Interp.behaviours ?fuel ?max_states ?stats p
+  | Tso -> Store_buffer.Tso.program_behaviours ?fuel ?max_states ?stats p
+  | Pso -> Store_buffer.Pso.program_behaviours ?fuel ?max_states ?stats p
 
-let weak_behaviours ?fuel ?max_states ?stats ?jobs ?pool ?(than = Sc) m p =
+let weak_behaviours ?fuel ?max_states ?stats ?(than = Sc) m p =
   Behaviour.Set.diff
-    (behaviours ?fuel ?max_states ?stats ?jobs ?pool m p)
-    (behaviours ?fuel ?max_states ?stats ?jobs ?pool than p)
+    (behaviours ?fuel ?max_states ?stats m p)
+    (behaviours ?fuel ?max_states ?stats than p)
 
-let replays ?fuel ?max_states ?jobs ?pool m p b =
-  Behaviour.Set.mem b (behaviours ?fuel ?max_states ?jobs ?pool m p)
+let replays ?fuel ?max_states m p b =
+  Behaviour.Set.mem b (behaviours ?fuel ?max_states m p)

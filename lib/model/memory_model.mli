@@ -52,22 +52,17 @@ val behaviours :
   ?fuel:int ->
   ?max_states:int ->
   ?stats:Explorer.stats ->
-  ?jobs:int ->
-  ?pool:Par.Pool.t ->
   t ->
   Ast.program ->
   Behaviour.Set.t
 (** The program's observable behaviours under the model
     (prefix-closed): SC interleavings for {!Sc}, the store-buffer
-    machine for {!Tso}/{!Pso}.  [jobs]/[pool] parallelise the
-    exploration; the set is identical. *)
+    machine for {!Tso}/{!Pso}. *)
 
 val weak_behaviours :
   ?fuel:int ->
   ?max_states:int ->
   ?stats:Explorer.stats ->
-  ?jobs:int ->
-  ?pool:Par.Pool.t ->
   ?than:t ->
   t ->
   Ast.program ->
@@ -80,8 +75,6 @@ val weak_behaviours :
 val replays :
   ?fuel:int ->
   ?max_states:int ->
-  ?jobs:int ->
-  ?pool:Par.Pool.t ->
   t ->
   Ast.program ->
   Behaviour.t ->

@@ -78,8 +78,6 @@ module type MACHINE = sig
   val behaviours :
     ?max_states:int ->
     ?stats:Explorer.stats ->
-    ?jobs:int ->
-    ?pool:Par.Pool.t ->
     Location.Volatile.t ->
     'ts System.t ->
     Behaviour.Set.t
@@ -88,8 +86,6 @@ module type MACHINE = sig
     ?fuel:int ->
     ?max_states:int ->
     ?stats:Explorer.stats ->
-    ?jobs:int ->
-    ?pool:Par.Pool.t ->
     Ast.program ->
     Behaviour.Set.t
 end
@@ -230,11 +226,7 @@ module Make (B : BUFFER) : MACHINE = struct
 
   (* Length-prefixed injective int encoding of a machine state; thread
      keys, locations and monitors are interned per [behaviours] call
-     (thread keys already, into [tkeys], as the threads step).  Above
-     pool size 1 [Explorer.graph_behaviours] calls the transitions and
-     the digest from several worker domains at once, so the interning
-     tables are then the striped thread-safe ones; a lone worker gets
-     the mutex-free single-table ones. *)
+     (thread keys already, into [tkeys], as the threads step). *)
   let digest ~lkey ~mkey st =
     let acc = ref [] in
     let push x = acc := x :: !acc in
@@ -260,7 +252,7 @@ module Make (B : BUFFER) : MACHINE = struct
     Array.iter push st.tkeys;
     !acc
 
-  let behaviours ?max_states ?stats ?jobs ?pool vol sys =
+  let behaviours ?max_states ?stats vol sys =
     let sp =
       if Safeopt_obs.Tracer.enabled () then
         Safeopt_obs.Tracer.span
@@ -271,33 +263,25 @@ module Make (B : BUFFER) : MACHINE = struct
     Fun.protect
       ~finally:(fun () -> Safeopt_obs.Tracer.close_span sp)
       (fun () ->
-        Explorer.graph_behaviours ?max_states ?stats ?jobs ?pool
-          (fun ~shared ->
-            let intern () =
-              Par.Intern.id
-                (if shared then Par.Intern.create ()
-                 else Par.Intern.create_local ())
-            in
-            let tkey = intern () and lkey = intern () and mkey = intern () in
-            let threads = Array.of_list sys.System.initial in
-            {
-              Explorer.graph_initial =
-                {
-                  threads;
-                  tkeys =
-                    Array.map (fun ts -> tkey (sys.System.key ts)) threads;
-                  buffers = Array.make (Array.length threads) B.empty;
-                  mem = Location.Map.empty;
-                  locks = Monitor.Map.empty;
-                };
-              graph_transitions = transitions ~tkey vol sys;
-              graph_digest = digest ~lkey ~mkey;
-            }))
+        let intern () = Par.Intern.id (Par.Intern.create ()) in
+        let tkey = intern () and lkey = intern () and mkey = intern () in
+        let threads = Array.of_list sys.System.initial in
+        Explorer.graph_behaviours ?max_states ?stats
+          {
+            Explorer.graph_initial =
+              {
+                threads;
+                tkeys = Array.map (fun ts -> tkey (sys.System.key ts)) threads;
+                buffers = Array.make (Array.length threads) B.empty;
+                mem = Location.Map.empty;
+                locks = Monitor.Map.empty;
+              };
+            graph_transitions = transitions ~tkey vol sys;
+            graph_digest = digest ~lkey ~mkey;
+          })
 
-  let program_behaviours ?fuel ?max_states ?stats ?jobs ?pool
-      (p : Ast.program) =
-    behaviours ?max_states ?stats ?jobs ?pool p.Ast.volatile
-      (Thread_system.make ?fuel p)
+  let program_behaviours ?fuel ?max_states ?stats (p : Ast.program) =
+    behaviours ?max_states ?stats p.Ast.volatile (Thread_system.make ?fuel p)
 end
 
 module Tso = Make (Tso_buffer)

@@ -59,15 +59,12 @@ module type MACHINE = sig
   val behaviours :
     ?max_states:int ->
     ?stats:Explorer.stats ->
-    ?jobs:int ->
-    ?pool:Par.Pool.t ->
     Location.Volatile.t ->
     'ts System.t ->
     Behaviour.Set.t
   (** All observable behaviours of the system under the model
       (prefix-closed), on the unified engine
-      ({!Explorer.graph_behaviours}).  [jobs]/[pool] parallelise the
-      state discovery; the resulting set is identical.
+      ({!Explorer.graph_behaviours}).
       @raise Explorer.Cyclic / @raise Explorer.Too_many_states as the
       SC engine does. *)
 
@@ -75,8 +72,6 @@ module type MACHINE = sig
     ?fuel:int ->
     ?max_states:int ->
     ?stats:Explorer.stats ->
-    ?jobs:int ->
-    ?pool:Par.Pool.t ->
     Ast.program ->
     Behaviour.Set.t
 end

@@ -325,8 +325,8 @@ let pp_duration ppf s =
      metrics:
        explorer:
          states   123
-       par:
-         lock_wait_s  count=4 p50<=2.0us max<=8.0us *)
+       rpc:
+         latency_s  count=4 p50<=2.0us max<=8.0us *)
 let pp ppf t =
   let group name =
     match String.index_opt name '.' with

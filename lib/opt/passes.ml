@@ -365,7 +365,14 @@ let dce ~kill (p : Ast.program) =
 
 let dead_moves p = dce ~kill:Liveness.dead_move p
 
-let dead_loads p = dce ~kill:Liveness.dead_load p
+(* Only plain loads: Definition 1 eliminates an irrelevant read, and a
+   volatile read is an acquire, which no clause of it eliminates. *)
+let dead_loads p =
+  let plain = function
+    | Ast.Load (_, l) -> not (Location.Volatile.mem p.Ast.volatile l)
+    | _ -> false
+  in
+  dce ~kill:(fun s live -> plain s && Liveness.dead_load s live) p
 
 (* --- Dead-store elimination across branches (CFG dataflow) ------------ *)
 

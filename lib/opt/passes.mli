@@ -73,9 +73,11 @@ val dead_moves : Ast.program -> Ast.program
     silent, so this is trace-preserving. *)
 
 val dead_loads : Ast.program -> Ast.program
-(** Remove loads into dead registers — irrelevant reads, whose removal
-    is a Definition-1 clause-3 semantic elimination (safe under the DRF
-    guarantee but {e not} trace-preserving). *)
+(** Remove non-volatile loads into dead registers — irrelevant reads,
+    whose removal is a Definition-1 clause-3 semantic elimination (safe
+    under the DRF guarantee but {e not} trace-preserving).  A dead
+    volatile load stays: it is an acquire, and no clause of
+    Definition 1 eliminates one. *)
 
 val dead_stores_cfg :
   Ast.program ->

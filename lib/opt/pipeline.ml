@@ -66,7 +66,7 @@ let registry =
       ~descr:"drop moves to dead registers (CFG liveness)"
       ~paper:trace_preserving Passes.dead_moves;
     Pass.of_rewrite ~name:"dead-loads" ~kind:Pass.Elimination
-      ~descr:"drop loads into dead registers (CFG liveness)"
+      ~descr:"drop non-volatile loads into dead registers (CFG liveness)"
       ~paper:"Definition 1 clause 3 (irrelevant read), Theorem 3"
       Passes.dead_loads;
     Pass.of_sites ~name:"dead-stores" ~kind:Pass.Elimination

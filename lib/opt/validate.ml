@@ -63,21 +63,21 @@ let ok r =
    documentation), so a positive answer avoids the exponential schedule
    enumeration entirely; a negative answer only means "unknown" and
    falls back to the exhaustive check. *)
-let drf_fast ?fuel ?max_states ?stats ?jobs ?pool p =
+let drf_fast ?fuel ?max_states ?stats p =
   Safeopt_analysis.Static_race.certified_drf p
-  || Interp.is_drf ?fuel ?max_states ?stats ?jobs ?pool p
+  || Interp.is_drf ?fuel ?max_states ?stats p
 
-let find_race_fast ?fuel ?max_states ?stats ?jobs ?pool p =
+let find_race_fast ?fuel ?max_states ?stats p =
   if Safeopt_analysis.Static_race.certified_drf p then None
-  else Interp.find_race ?fuel ?max_states ?stats ?jobs ?pool p
+  else Interp.find_race ?fuel ?max_states ?stats p
 
 (* The two SC questions of one program, its behaviours and whether it
    is DRF, from one reduced exploration; a program with a static
    certificate only needs its behaviours. *)
-let sc_questions ?fuel ?max_states ?stats ?jobs ?pool p =
+let sc_questions ?fuel ?max_states ?stats p =
   if Safeopt_analysis.Static_race.certified_drf p then
-    (Interp.behaviours ?fuel ?max_states ?stats ?jobs ?pool p, true)
-  else Interp.behaviours_and_drf ?fuel ?max_states ?stats ?jobs ?pool p
+    (Interp.behaviours ?fuel ?max_states ?stats p, true)
+  else Interp.behaviours_and_drf ?fuel ?max_states ?stats p
 
 let validate_with ?fuel ?max_states ?stats ?jobs ?pool
     ?(model = Model.Sc) ~relation ~relation_check ~original ~transformed () =
@@ -106,42 +106,38 @@ let validate_with ?fuel ?max_states ?stats ?jobs ?pool
       sp;
     r
   in
+  (* The two programs' explorations are independent: each program's
+     answers are one batch job. *)
+  let both f =
+    match Explorer.batch_map ?stats ?jobs ?pool f [ original; transformed ] with
+    | [ o; t ] -> (o, t)
+    | _ -> assert false
+  in
   match
     let b_orig, original_drf, b_trans, transformed_drf, race_witness =
       match model with
       | Model.Sc ->
-          let b_orig, original_drf =
-            sc_questions ?fuel ?max_states ?stats ?jobs ?pool original
-          in
-          let b_trans, transformed_drf =
-            sc_questions ?fuel ?max_states ?stats ?jobs ?pool transformed
+          let (b_orig, original_drf), (b_trans, transformed_drf) =
+            both (sc_questions ?fuel ?max_states ?stats)
           in
           (* the witness search runs only on a program already found racy *)
           let race_witness =
             if transformed_drf then None
-            else
-              Interp.find_race ?fuel ?max_states ?stats ?jobs ?pool
-                transformed
+            else Interp.find_race ?fuel ?max_states ?stats transformed
           in
           (b_orig, original_drf, b_trans, transformed_drf, race_witness)
       | Model.Tso | Model.Pso ->
-          let behaviours =
-            Model.behaviours ?fuel ?max_states ?stats ?jobs ?pool model
-          in
-          let b_orig = behaviours original in
-          let b_trans = behaviours transformed in
           (* The DRF legs are SC questions under every model: data races
              are a property of the language semantics, and the DRF
              guarantee is what ports SC verdicts to the hardware
              models. *)
-          let original_drf =
-            drf_fast ?fuel ?max_states ?stats ?jobs ?pool original
-          in
-          let race_witness =
-            find_race_fast ?fuel ?max_states ?stats ?jobs ?pool transformed
+          let (b_orig, race_orig), (b_trans, race_witness) =
+            both (fun p ->
+                ( Model.behaviours ?fuel ?max_states ?stats model p,
+                  find_race_fast ?fuel ?max_states ?stats p ))
           in
           ( b_orig,
-            original_drf,
+            Option.is_none race_orig,
             b_trans,
             Option.is_none race_witness,
             race_witness )

@@ -87,15 +87,15 @@ val validate :
     answers both of its questions
     ({!Safeopt_lang.Interp.behaviours_and_drf}), and the race witness
     search ({!Safeopt_lang.Interp.find_race}) runs only when the
-    transformed program is racy.  [jobs]/[pool] parallelise those
-    enumerations at the state-space level; the report is unchanged. *)
+    transformed program is racy.  Under [Tso]/[Pso] each program's
+    model behaviours and race search run together.  [jobs]/[pool]
+    shard the two programs' explorations across domains, one batch job
+    per program ({!Explorer.batch_map}); the report is unchanged. *)
 
 val drf_fast :
   ?fuel:int ->
   ?max_states:int ->
   ?stats:Explorer.stats ->
-  ?jobs:int ->
-  ?pool:Par.Pool.t ->
   Ast.program ->
   bool
 (** [is_drf] with the static fast path: a lockset certificate first,
@@ -105,8 +105,6 @@ val find_race_fast :
   ?fuel:int ->
   ?max_states:int ->
   ?stats:Explorer.stats ->
-  ?jobs:int ->
-  ?pool:Par.Pool.t ->
   Ast.program ->
   Interleaving.t option
 (** [find_race] with the static fast path: returns [None] without
@@ -223,7 +221,8 @@ val run_validator :
 (** Decide the pair under the given mode and model.
     [max_len]/[max_traces] bound the refine rung's per-thread
     enumerations; [fuel], [max_states], [stats], [jobs], [pool]
-    parameterise the exhaustive rung exactly as in {!validate}.  When
+    parameterise the exhaustive rung exactly as in {!validate}: the
+    pool shards only the two programs' explorations.  When
     the {!Safeopt_obs.Metrics} registry is enabled, publishes the
     fast-path hit-rate counters [validate.outcomes],
     [validate.static_hits], [validate.refine_hits],
@@ -255,7 +254,8 @@ val validate_chain :
     behaviours and its DRF verdict, and the results are shared between
     the pairwise and end-to-end reports; a race witness is searched for
     only when a racy program is some report's transformed side.  Under
-    [jobs]/[pool] the per-program explorations shard across domains.
+    [jobs]/[pool] the per-program explorations shard across domains,
+    one batch job per program.
     @raise Invalid_argument on an empty chain. *)
 
 val validate_semantic :
@@ -273,4 +273,6 @@ val validate_semantic :
 (** Additionally check the claimed traceset relation on the programs'
     bounded denotations ([max_len], default 12, bounds trace length;
     both denotations use their joint value universe).  Expensive —
-    intended for litmus-sized programs. *)
+    intended for litmus-sized programs.  [jobs]/[pool] shard the two
+    programs' explorations as in {!validate}; the relation check runs
+    in the calling domain. *)

@@ -1,6 +1,6 @@
 (* The lib/obs telemetry layer: histogram bucketing, sharded-merge
    equality, counter exactness under real domains, event JSON
-   round-trips, span-log well-formedness over random corpus runs at
+   round-trips, span-log well-formedness over random batch runs at
    --jobs 1 and --jobs 2, and report aggregation. *)
 
 open Safeopt_exec
@@ -214,11 +214,15 @@ let wellformed (events : Event.t list) =
       | Event.Instant | Event.Counter -> true)
     events
 
+(* A chain validation explores each program as one batch job: at jobs
+   2 the explorations' spans land on two domains' lanes, under the
+   pool's worker spans. *)
 let traced_events jobs p =
   Tracer.start Tracer.Memory;
   match
-    ignore (Interp.behaviours ~fuel:24 ~jobs p);
-    ignore (Interp.is_drf ~fuel:24 ~jobs p)
+    ignore
+      (Safeopt_opt.Validate.validate_chain ~fuel:24 ~jobs
+         [ p; Safeopt_opt.Passes.normalise p ])
   with
   | () -> Tracer.stop ()
   | exception e ->
@@ -474,7 +478,7 @@ let heartbeat_run jobs p =
   in
   (match
      Snapshot.start ~path ~interval_ms:1 snapshot_progress;
-     ignore (Interp.behaviours ~fuel:24 ~stats:shared ~jobs p);
+     ignore (Interp.behaviours ~fuel:24 ~stats:shared p);
      ignore
        (Safeopt_opt.Validate.validate_chain ~fuel:24 ~stats:shared ~jobs
           [ p; p; p ])

@@ -1,6 +1,9 @@
-(* Domain-parallel exploration: every parallel entry point must produce
-   results identical to its sequential counterpart (the Par determinism
-   contract), and the pool/queue primitives themselves must behave. *)
+(* Batch parallelism: independent explorations sharded across a pool
+   must give exactly what they give one after another in the calling
+   domain, and the pool primitives themselves must behave.  Every
+   exploration runs in one domain, so its results — witnesses
+   included — do not depend on the domain it runs in or on the pool
+   size. *)
 
 open Safeopt_exec
 open Safeopt_lang
@@ -20,6 +23,7 @@ let pool = Par.Pool.create 4
 
 (* A second, smaller pool so parity properties cover jobs ∈ {1, 2, 4}. *)
 let pool2 = Par.Pool.create 2
+let pools = [ (2, pool2); (4, pool) ]
 
 (* --- primitives ------------------------------------------------------- *)
 
@@ -38,161 +42,75 @@ let test_pool_map_list () =
   check_b "results in input order with their indices" true
     (List.for_all2 (fun x (i, y) -> i = x && y = x * x) xs ys)
 
-exception Boom
-
+(* An exploration over budget in a batch job surfaces in the caller,
+   and the pool runs the next batch. *)
 let test_pool_exception () =
-  check_b "a worker exception reaches the caller" true
-    (try
-       ignore
-         (Par.Pool.map_list pool
-            (fun _ x -> if x = 37 then raise Boom else x)
-            (List.init 64 Fun.id));
-       false
-     with Boom -> true);
-  check_i "the pool survives and runs the next job" 10
-    (List.length (Par.Pool.map_list pool (fun _ x -> x) (List.init 10 Fun.id)))
+  let programs = List.map Litmus.program Corpus.all in
+  check_b "a batch job's exception reaches the caller" true
+    (match
+       Explorer.batch_map ~pool (Interp.count_states ~max_states:8) programs
+     with
+    | _ -> false
+    | exception Explorer.Too_many_states _ -> true);
+  check_b "the pool survives and runs the next batch" true
+    (Explorer.batch_map ~pool Interp.count_states programs
+    = List.map Interp.count_states programs)
 
-(* --- Chase–Lev deque --------------------------------------------------- *)
+(* --- batch determinism ------------------------------------------------ *)
 
-let test_deque_orders () =
-  let d = Par.Deque.create () in
-  check_b "a fresh deque is empty" true (Par.Deque.pop d = None);
-  check_b "a fresh deque yields no steals" true (Par.Deque.steal d = None);
-  List.iter (Par.Deque.push d) [ 0; 1; 2; 3; 4 ];
-  check_i "owner sees the deque size" 5 (Par.Deque.size d);
-  check_b "owner pops newest first (LIFO)" true (Par.Deque.pop d = Some 4);
-  check_b "thief steals oldest first (FIFO)" true (Par.Deque.steal d = Some 0);
-  check_b "steal order advances" true (Par.Deque.steal d = Some 1);
-  check_b "owner keeps popping from the bottom" true
-    (Par.Deque.pop d = Some 3);
-  check_b "last element goes to exactly one side" true
-    (Par.Deque.pop d = Some 2);
-  check_b "deque is empty again" true
-    (Par.Deque.pop d = None && Par.Deque.steal d = None);
-  (* growth across the initial buffer size preserves both orders *)
-  let n = 1000 in
-  for i = 0 to n - 1 do
-    Par.Deque.push d i
-  done;
-  check_b "after growth, steals walk 0,1,2.." true
-    (List.init 10 (fun _ -> Par.Deque.steal d)
-    = List.init 10 (fun i -> Some i));
-  check_b "after growth, pops walk n-1,n-2.." true
-    (List.init 10 (fun _ -> Par.Deque.pop d)
-    = List.init 10 (fun i -> Some (n - 1 - i)))
+let answers outcomes =
+  List.map
+    (fun (o : Litmus.outcome) ->
+      ( o.Litmus.test.Litmus.name,
+        o.Litmus.drf_actual,
+        Behaviour.Set.elements o.Litmus.behaviours,
+        o.Litmus.failures ))
+    outcomes
 
-let test_deque_steal_half () =
-  let victim = Par.Deque.create () in
-  let mine = Par.Deque.create () in
-  List.iter (Par.Deque.push victim) [ 0; 1; 2; 3; 4; 5; 6; 7 ];
-  (match Par.Deque.steal_half victim ~into:mine with
-  | Some (first, taken) ->
-      check_i "the oldest element is returned for processing" 0 first;
-      check_i "half of the victim's items are claimed" 4 taken;
-      check_i "surplus lands in the thief's deque" 3 (Par.Deque.size mine)
-  | None -> Alcotest.fail "steal_half found nothing in a full deque");
-  check_i "the victim keeps the other half" 4 (Par.Deque.size victim);
-  check_b "thief's copies arrived in steal order" true
-    (Par.Deque.steal mine = Some 1);
-  check_b "stealing an empty victim reports None" true
-    (Par.Deque.steal_half (Par.Deque.create ()) ~into:mine = None)
-
-(* Two thief domains against a pushing-and-popping owner: every pushed
-   element must come out exactly once, across all three parties. *)
-let test_deque_stress () =
-  let d = Par.Deque.create () in
-  let n = 20_000 in
-  let stop = Atomic.make false in
-  let thief () =
-    let acc = ref [] in
-    let rec drain () =
-      match Par.Deque.steal d with
-      | Some x ->
-          acc := x :: !acc;
-          drain ()
-      | None -> ()
-    in
-    while not (Atomic.get stop) do
-      (match Par.Deque.steal d with
-      | Some x -> acc := x :: !acc
-      | None -> Domain.cpu_relax ());
-      ()
-    done;
-    drain ();
-    !acc
-  in
-  let t1 = Domain.spawn thief in
-  let t2 = Domain.spawn thief in
-  let mine = ref [] in
-  for i = 0 to n - 1 do
-    Par.Deque.push d i;
-    if i mod 3 = 0 then
-      match Par.Deque.pop d with
-      | Some x -> mine := x :: !mine
-      | None -> ()
-  done;
-  let rec drain () =
-    match Par.Deque.pop d with
-    | Some x ->
-        mine := x :: !mine;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  Atomic.set stop true;
-  let stolen1 = Domain.join t1 in
-  let stolen2 = Domain.join t2 in
-  let all = List.sort compare (!mine @ stolen1 @ stolen2) in
-  check_i "every pushed element came out exactly once" n (List.length all);
-  check_b "no element was lost or duplicated" true
-    (List.for_all2 ( = ) all (List.init n Fun.id))
-
-(* --- exploration determinism ----------------------------------------- *)
+let same_answers what expected got =
+  List.iter2
+    (fun ((name, _, _, _) as e) g ->
+      if e <> g then Alcotest.failf "%s: %s differs" name what)
+    expected got
 
 let test_corpus_determinism () =
-  List.iter
-    (fun (t : Litmus.t) ->
-      let p = Litmus.program t in
-      let seq = Interp.behaviours p in
-      let par1 = Interp.behaviours ~pool p in
-      let par2 = Interp.behaviours ~pool p in
-      if not (Behaviour.Set.equal seq par1) then
-        Alcotest.failf "%s: parallel behaviours differ from sequential"
-          t.Litmus.name;
-      if not (Behaviour.Set.equal par1 par2) then
-        Alcotest.failf "%s: two parallel runs disagree" t.Litmus.name;
-      if Interp.is_drf p <> Interp.is_drf ~pool p then
-        Alcotest.failf "%s: parallel DRF verdict differs" t.Litmus.name;
-      if Interp.count_states p <> Interp.count_states ~pool p then
-        Alcotest.failf "%s: parallel state count differs" t.Litmus.name)
-    Corpus.all
+  let seq = answers (List.map Litmus.check Corpus.all) in
+  let par1 = answers (Litmus.check_all ~pool Corpus.all) in
+  let par2 = answers (Litmus.check_all ~pool Corpus.all) in
+  same_answers "the batch outcome" seq par1;
+  same_answers "a second batch run" par1 par2
 
 (* A one-shot ?jobs call (no pre-built pool) takes the pool-per-call
    path; jobs = 1 must stay on the sequential one. *)
 let test_jobs_entry () =
-  let p = Litmus.program Corpus.sb in
-  Alcotest.check behaviour_set "jobs:2 equals sequential"
-    (Interp.behaviours p)
-    (Interp.behaviours ~jobs:2 p);
-  Alcotest.check behaviour_set "jobs:1 equals sequential"
-    (Interp.behaviours p)
-    (Interp.behaviours ~jobs:1 p)
+  let tests = Corpus.[ sb; mp; iriw ] in
+  let seq = answers (List.map Litmus.check tests) in
+  same_answers "jobs:2" seq (answers (Litmus.check_all ~jobs:2 tests));
+  same_answers "jobs:1" seq (answers (Litmus.check_all ~jobs:1 tests))
 
 let rand () = Random.State.make [| 0x9a7a11e1; 7 |]
+
+(* A program's behaviours under the three models, one batch job per
+   model, as Validate and Portability shard them. *)
+let model_behaviours ?pool p =
+  Explorer.batch_map ?pool
+    (fun m -> Behaviour.Set.elements (Model.behaviours m p))
+    Model.all
 
 let qcheck_parallel_equiv =
   QCheck_alcotest.to_alcotest ~rand:(rand ())
     (QCheck2.Test.make
        ~name:"parallel behaviours equal sequential (300 random programs)"
        ~count:300 ~print:Generators.print_program Generators.program (fun p ->
-         Behaviour.Set.equal (Interp.behaviours p) (Interp.behaviours ~pool p)))
+         model_behaviours p = model_behaviours ~pool p))
 
-(* The headline parity property of the work-stealing engine: behaviour
-   sets, state counts and the [edges] and [por_cuts] work counters are
-   identical across jobs ∈ {1, 2, 4}, with and without the reduction
-   (persistent-set selection is a pure function of the state, and each
-   state is expanded once, whichever worker reaches it).  The generated
-   programs include Atomic/RMW threads (see Generators.simple_stmt). *)
+(* Batch jobs share the caller's stats record: every exploration merges
+   into it once, under a lock, so the merged work counters are exact.
+   Four jobs per program — state count and behaviours, with and without
+   the reduction — give the same answers and the same counters at jobs
+   1, 2 and 4.  Each job builds its own system: a system is explored by
+   one domain at a time.  The generated programs include Atomic/RMW
+   threads (see Generators.simple_stmt). *)
 let qcheck_jobs_parity =
   QCheck_alcotest.to_alcotest ~rand:(rand ())
     (QCheck2.Test.make
@@ -200,38 +118,43 @@ let qcheck_jobs_parity =
          "count_states and behaviours identical across jobs {1,2,4} (300 \
           random programs, POR on and off)"
        ~count:300 ~print:Generators.print_program Generators.program (fun p ->
-         let run sys pool =
+         let run pool =
            let s = Explorer.create_stats () in
-           let b = Explorer.behaviours ~stats:s ?pool sys in
-           ( b,
-             Explorer.count_states ?pool sys,
+           let results =
+             Explorer.batch_map ~stats:s ?pool
+               (fun (reduced, count) ->
+                 let sys = if reduced then Thread_system.make p else full p in
+                 if count then (Explorer.count_states ~stats:s sys, [])
+                 else
+                   ( 0,
+                     Behaviour.Set.elements (Explorer.behaviours ~stats:s sys)
+                   ))
+               [ (true, true); (true, false); (false, true); (false, false) ]
+           in
+           ( results,
+             s.Explorer.states,
              s.Explorer.edges,
-             s.Explorer.por_cuts )
+             s.Explorer.por_cuts,
+             s.Explorer.memo_hits )
          in
-         let parity sys =
-           let b1, c1, e1, k1 = run sys None in
-           List.for_all
-             (fun pl ->
-               let b, c, e, k = run sys (Some pl) in
-               Behaviour.Set.equal b1 b && c1 = c && e1 = e && k1 = k)
-             [ pool2; pool ]
-         in
-         parity (full p) && parity (Thread_system.make p)))
+         let one = run None in
+         List.for_all (fun (_, pl) -> run (Some pl) = one) pools))
 
-(* Acceptance criterion: POR-reduced state counts match exactly across
-   jobs 1/2/4 on the full litmus corpus. *)
+(* Reduced state counts of the full litmus corpus, one batch job per
+   program, match exactly at jobs 1, 2 and 4. *)
 let test_corpus_por_parity () =
+  let programs = List.map Litmus.program Corpus.all in
+  let c1 = Explorer.batch_map Interp.count_states programs in
   List.iter
-    (fun (t : Litmus.t) ->
-      let p = Litmus.program t in
-      let c1 = Interp.count_states p in
-      let c2 = Interp.count_states ~pool:pool2 p in
-      let c4 = Interp.count_states ~pool p in
-      if not (c1 = c2 && c2 = c4) then
-        Alcotest.failf
-          "%s: reduced state counts differ across jobs (1:%d 2:%d 4:%d)"
-          t.Litmus.name c1 c2 c4)
-    Corpus.all
+    (fun (jobs, pl) ->
+      let c = Explorer.batch_map ~pool:pl Interp.count_states programs in
+      List.iter2
+        (fun (t : Litmus.t) (a, b) ->
+          if a <> b then
+            Alcotest.failf "%s: reduced state count %d at jobs 1, %d at jobs %d"
+              t.Litmus.name a b jobs)
+        Corpus.all (List.combine c1 c))
+    pools
 
 (* --- stats aggregation ------------------------------------------------ *)
 
@@ -252,21 +175,22 @@ let test_stats_aggregation () =
 
 (* --- graph engine (TSO/PSO) ------------------------------------------ *)
 
+(* The store-buffer machines in worker domains, one program per job. *)
 let test_graph_parallel () =
+  let tests = List.filteri (fun i _ -> i < 8) Corpus.all in
+  let programs = List.map Litmus.program tests in
   List.iter
-    (fun (t : Litmus.t) ->
-      let p = Litmus.program t in
-      if
-        not
-          (Behaviour.Set.equal
-             (Model.behaviours Model.Tso p)
-             (Model.behaviours ~pool Model.Tso p))
-      then Alcotest.failf "%s: parallel TSO behaviours differ" t.Litmus.name)
-    (List.filteri (fun i _ -> i < 8) Corpus.all);
-  let sb = Litmus.program Corpus.sb in
-  Alcotest.check behaviour_set "parallel PSO behaviours equal sequential"
-    (Model.behaviours Model.Pso sb)
-    (Model.behaviours ~pool Model.Pso sb)
+    (fun m ->
+      let beh p = Behaviour.Set.elements (Model.behaviours m p) in
+      List.iter2
+        (fun (t : Litmus.t) (a, b) ->
+          if a <> b then
+            Alcotest.failf "%s: batch %s behaviours differ" t.Litmus.name
+              (Model.name m))
+        tests
+        (List.combine (List.map beh programs)
+           (Explorer.batch_map ~pool beh programs)))
+    [ Model.Tso; Model.Pso ]
 
 (* --- witnesses ----------------------------------------------------------- *)
 
@@ -288,42 +212,38 @@ let valid_deadlock p i =
       && List.exists (fun ts -> sys.System.steps ts <> []) st.Reference.threads)
     (Reference.replay sys i)
 
-let race_witness_ok ?pool p =
-  match Interp.find_race ?pool p with
-  | Some i -> valid_race p i
-  | None -> true
-
 let deadlock_witness_ok p =
   match Explorer.find_deadlock (Thread_system.make p) with
   | Some i -> valid_deadlock p i
   | None -> true
 
-(* DRF and TSO/PSO verdicts depend on the graph, not the schedule. *)
+(* One program's race witness and TSO/PSO behaviours, one batch job
+   each. *)
+let verdicts ?pool p =
+  Explorer.batch_map ?pool
+    (function
+      | Model.Sc -> (Interp.find_race p, [])
+      | m -> (None, Behaviour.Set.elements (Model.behaviours m p)))
+    Model.all
+
+(* The witness search runs in one domain, so a batch job finds the very
+   witness the calling domain finds, at every pool size. *)
 let verdict_parity p =
-  let verdicts pool =
-    ( Option.is_some (Interp.find_race ?pool p),
-      Behaviour.Set.elements (Model.behaviours ?pool Model.Tso p),
-      Behaviour.Set.elements (Model.behaviours ?pool Model.Pso p) )
-  in
-  let one = verdicts None in
-  List.for_all (fun pl -> verdicts (Some pl) = one) [ pool2; pool ]
+  let one = verdicts p in
+  List.for_all (fun (_, pl) -> verdicts ~pool:pl p = one) pools
 
 let test_corpus_witnesses () =
   List.iter
     (fun (t : Litmus.t) ->
       let p = Litmus.program t in
-      if not t.Litmus.drf then
-        List.iter
-          (fun (jobs, pool) ->
-            match Interp.find_race ?pool p with
-            | Some i when valid_race p i -> ()
-            | Some i ->
-                Alcotest.failf "%s: invalid race witness at jobs %d: %a"
-                  t.Litmus.name jobs Interleaving.pp i
-            | None ->
-                Alcotest.failf "%s: no race found at jobs %d" t.Litmus.name
-                  jobs)
-          [ (1, None); (2, Some pool2) ];
+      if not t.Litmus.drf then begin
+        match Interp.find_race p with
+        | Some i when valid_race p i -> ()
+        | Some i ->
+            Alcotest.failf "%s: invalid race witness: %a" t.Litmus.name
+              Interleaving.pp i
+        | None -> Alcotest.failf "%s: no race found" t.Litmus.name
+      end;
       if not (deadlock_witness_ok p && verdict_parity p) then
         Alcotest.failf "%s: witness or verdict check failed" t.Litmus.name)
     Corpus.all
@@ -352,8 +272,12 @@ let qcheck_witnesses =
           blocked; DRF and TSO/PSO verdicts equal at jobs {1,2,4} (300 \
           random programs)"
        ~count:300 ~print:Generators.print_program Generators.program (fun p ->
-         race_witness_ok p
-         && race_witness_ok ~pool:pool2 p
+         (match Interp.find_race p with
+         | Some i ->
+             valid_race p i
+             && Explorer.batch_map ~pool:pool2 Interp.find_race [ p; p ]
+                = [ Some i; Some i ]
+         | None -> true)
          && deadlock_witness_ok p && verdict_parity p))
 
 (* --- batch validation and the pipeline -------------------------------- *)
@@ -380,6 +304,44 @@ let test_validate_batch () =
   in
   let par = Validate.validate_batch ~pool pairs in
   check_b "batch reports identical to sequential" true (seq = par)
+
+(* [run_validator] shards the two programs' explorations across the
+   pool.  On every registry rewrite of the corpus, under each model and
+   both deciding validators, a 2-domain pool gives the outcome and the
+   report it gives without one. *)
+let test_run_validator_sharding () =
+  let open Safeopt_opt in
+  let pairs =
+    List.concat_map
+      (fun t ->
+        let p = Litmus.program t in
+        List.filter_map
+          (fun (pass : Pass.t) ->
+            let q = (pass.Pass.run p).Pass.program in
+            if Ast.equal_program p q then None
+            else Some (t.Litmus.name ^ " / " ^ pass.Pass.name, p, q))
+          Pipeline.registry)
+      Corpus.all
+  in
+  check_b "the registry rewrites some corpus programs" true (pairs <> []);
+  List.iter
+    (fun (name, original, transformed) ->
+      List.iter
+        (fun (model, validator) ->
+          let run ?pool () =
+            let o =
+              Validate.run_validator ?pool ~model validator ~original
+                ~transformed ()
+            in
+            (Fmt.str "%a" Validate.pp_outcome o, o.Validate.out_report)
+          in
+          if run () <> run ~pool:pool2 () then
+            Alcotest.failf "%s under %s (%a): sharded outcome differs" name
+              (Model.name model) Validate.pp_validator validator)
+        (List.concat_map
+           (fun m -> [ (m, Validate.Auto); (m, Validate.Exhaustive) ])
+           Model.all))
+    pairs
 
 let pipeline_spec s =
   match Safeopt_opt.Pipeline.parse s with
@@ -433,14 +395,6 @@ let () =
           Alcotest.test_case "pool map_list" `Quick test_pool_map_list;
           Alcotest.test_case "pool exceptions" `Quick test_pool_exception;
         ] );
-      ( "deque",
-        [
-          Alcotest.test_case "owner LIFO / thief FIFO" `Quick
-            test_deque_orders;
-          Alcotest.test_case "steal half" `Quick test_deque_steal_half;
-          Alcotest.test_case "concurrent steal stress" `Slow
-            test_deque_stress;
-        ] );
       ( "determinism",
         [
           Alcotest.test_case "corpus" `Slow test_corpus_determinism;
@@ -463,6 +417,8 @@ let () =
       ( "batch",
         [
           Alcotest.test_case "validate_batch" `Slow test_validate_batch;
+          Alcotest.test_case "run_validator sharding" `Slow
+            test_run_validator_sharding;
           Alcotest.test_case "pipeline" `Slow test_pipeline_parallel;
           Alcotest.test_case "pipeline rejection" `Quick
             test_pipeline_reject_parallel;

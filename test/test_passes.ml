@@ -137,6 +137,17 @@ let test_dead_loads () =
   check_b "but a semantic elimination" true
     (r.Validate.relation_holds = Some true)
 
+(* A dead volatile load is an acquire, and no clause of Definition 1
+   eliminates one: the pass drops the dead plain load beside it and
+   keeps it. *)
+let test_dead_volatile_loads () =
+  let p =
+    parse "volatile v;\nthread { r1 := v; r2 := x; r3 := y; print r3; }"
+  in
+  check_b "dead plain load gone, dead volatile load kept" true
+    (Ast.equal_program (Passes.dead_loads p)
+       (parse "volatile v;\nthread { r1 := v; r3 := y; print r3; }"))
+
 let test_fold_branches () =
   let p =
     parse
@@ -231,6 +242,8 @@ let () =
         [
           Alcotest.test_case "dead moves" `Quick test_dead_moves;
           Alcotest.test_case "dead loads" `Quick test_dead_loads;
+          Alcotest.test_case "dead volatile loads kept" `Quick
+            test_dead_volatile_loads;
           Alcotest.test_case "branch folding" `Quick test_fold_branches;
           Alcotest.test_case "normalisation" `Quick test_normalise;
           Alcotest.test_case "loop unrolling" `Quick test_unroll;

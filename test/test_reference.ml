@@ -2,8 +2,8 @@
    ([behaviours_and_drf]) and the race witness search
    ([find_adjacent_race]) against the naive reference enumerator
    ([Reference]), and the full searches too: behaviour sets and DRF
-   verdicts are equal at jobs 1, 2 and 4, and every witness is an
-   execution whose only adjacent race is its last two actions.  The
+   verdicts are equal, and every witness is an execution whose only
+   adjacent race is its last two actions.  The
    cases are generated programs (before and after a random registry
    pass), the litmus corpus, and generated explicit tracesets, whose
    threads decline read values and offer several steps at once. *)
@@ -14,9 +14,6 @@ open Safeopt_gen
 open Safeopt_litmus
 module Pass = Safeopt_opt.Pass
 module Pipeline = Safeopt_opt.Pipeline
-
-let pools =
-  [ (1, None); (2, Some (Par.Pool.create 2)); (4, Some (Par.Pool.create 4)) ]
 
 (* The first answer that differs from the reference, if any.  [sys] is
    the system as built (reduced for programs), [full] the same system
@@ -39,24 +36,18 @@ let first_disagreement ~vol ~full ~execution sys =
   in
   let s = Explorer.create_stats () in
   let bs_full = Explorer.behaviours ~stats:s full in
+  let bs', drf' = Explorer.behaviours_and_drf vol sys in
   let checks =
     [
       ("unreduced behaviours", Behaviour.Set.equal bs bs_full);
       ("unreduced state count", states = s.Explorer.states);
     ]
     @ witness "unreduced" (Explorer.find_adjacent_race vol full)
-    @ List.concat_map
-        (fun (jobs, pool) ->
-          let bs', drf' = Explorer.behaviours_and_drf ?pool vol sys in
-          [
-            ( Printf.sprintf "shared behaviours at jobs %d" jobs,
-              Behaviour.Set.equal bs bs' );
-            (Printf.sprintf "shared DRF verdict at jobs %d" jobs, drf = drf');
-          ]
-          @ witness
-              (Printf.sprintf "race search at jobs %d" jobs)
-              (Explorer.find_adjacent_race ?pool vol sys))
-        pools
+    @ [
+        ("shared behaviours", Behaviour.Set.equal bs bs');
+        ("shared DRF verdict", drf = drf');
+      ]
+    @ witness "race search" (Explorer.find_adjacent_race vol sys)
   in
   List.find_map (fun (what, ok) -> if ok then None else Some what) checks
 
