@@ -1389,27 +1389,27 @@ let run_bechamel () =
 
 let () =
   (* `dune exec bench/main.exe -- explore` runs just the exploration
-     benchmark (and writes BENCH_explore.json; `explore-quick` is the
-     low-rep CI mode, comparable through rate fields); `-- pipeline` (or
+     benchmark (and writes BENCH_explore.json; `explore-quick` is the low-rep
+     CI mode, comparable through rate fields); `-- pipeline` (or
      `pipeline-quick`, the CI smoke mode) just the pass-manager one
-     (BENCH_pipeline.json); `-- parallel [jobs]` (or `parallel-quick
-     [jobs]`) the sequential-vs-batch comparison (BENCH_parallel.json); `-- refine` (or `refine-quick`) the
-     validator-ladder differential and scaling comparison
+     (BENCH_pipeline.json); `-- parallel [jobs]` (or `parallel-quick [jobs]`;
+     jobs defaults to 0, the host's recommended domain count) the
+     sequential-vs-batch comparison (BENCH_parallel.json); `-- refine` (or
+     `refine-quick`) the validator-ladder differential and scaling comparison
      (BENCH_refine.json); `-- rmw` the lock-free atomic pack gates
-     (BENCH_rmw.json); `-- portability` (or `portability-quick`) the
-     pass x memory-model matrix (BENCH_portability.json); `--
-     obs-overhead` the disabled-telemetry cost guard; the default runs
-     the full reproduction suite.  Every mode exits 1 when a claim
-     reads MISMATCH. *)
+     (BENCH_rmw.json); `-- portability` (or `portability-quick`) the pass x
+     memory-model matrix (BENCH_portability.json); `-- obs-overhead` the
+     disabled-telemetry cost guard; the default runs the full reproduction
+     suite.  Every mode exits 1 when a claim reads MISMATCH. *)
   (match Sys.argv with
   | [| _; "explore" |] -> explore_bench ()
   | [| _; "explore-quick" |] -> explore_bench ~quick:true ()
   | [| _; "obs-overhead" |] -> obs_overhead ()
   | [| _; "pipeline" |] -> pipeline_bench ()
   | [| _; "pipeline-quick" |] -> pipeline_bench ~quick:true ()
-  | [| _; "parallel" |] -> parallel_bench ~jobs:4 ()
+  | [| _; "parallel" |] -> parallel_bench ~jobs:0 ()
   | [| _; "parallel"; j |] -> parallel_bench ~jobs:(int_of_string j) ()
-  | [| _; "parallel-quick" |] -> parallel_bench ~quick:true ~jobs:2 ()
+  | [| _; "parallel-quick" |] -> parallel_bench ~quick:true ~jobs:0 ()
   | [| _; "parallel-quick"; j |] ->
       parallel_bench ~quick:true ~jobs:(int_of_string j) ()
   | [| _; "refine" |] -> refine_bench ()
@@ -1436,7 +1436,7 @@ let () =
       p2 ();
       explore_bench ();
       pipeline_bench ();
-      parallel_bench ~jobs:4 ();
+      parallel_bench ~jobs:0 ();
       refine_bench ();
       rmw_bench ();
       portability_bench ();

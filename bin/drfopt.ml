@@ -152,9 +152,8 @@ let metrics_arg =
   Arg.(
     value & flag
     & info [ "metrics" ]
-        ~doc:"Collect the process-global metrics registry (counters, \
-              gauges, latency histograms) during the run and print its \
-              summary on exit.")
+        ~doc:"Collect the process-global metrics registry (counters and \
+              gauges) during the run and print its summary on exit.")
 
 let heartbeat_arg =
   Arg.(
@@ -996,4 +995,15 @@ let main =
       bench_cmd;
     ]
 
-let () = exit (Cmd.eval main)
+(* An exploration over its state budget is a refused input: one message
+   and exit 2.  Every other uncaught exception is an internal error. *)
+let () =
+  match Cmd.eval ~catch:false main with
+  | code -> exit code
+  | exception Explorer.Too_many_states n ->
+      Fmt.epr "drfopt: exploration exceeded the state budget (%d states)@." n;
+      exit 2
+  | exception e ->
+      Fmt.epr "drfopt: internal error, uncaught exception:@\n        %s@."
+        (Printexc.to_string e);
+      exit Cmd.Exit.internal_error

@@ -30,15 +30,7 @@ let make ~name ~descr ?(drf = true) ?(can = []) ?(cannot = []) source =
    pool workers, so corpus runs get per-test spans on each domain's
    lane without further plumbing. *)
 let check ?fuel ?max_states ?stats ?(model = Model.Sc) t =
-  let sp =
-    if Tracer.enabled () then
-      Tracer.span
-        ~attrs:
-          [ ("test", Ev.Str t.name); ("model", Ev.Str (Model.name model)) ]
-        "litmus"
-    else Tracer.none
-  in
-  match
+  let run () =
     let p = program t in
     (* Data race freedom is an SC (program-logic) question under every
        model; only the behaviour set is model-relative.  The [can] /
@@ -76,19 +68,13 @@ let check ?fuel ?max_states ?stats ?(model = Model.Sc) t =
       behaviours;
       failures = List.rev !failures;
     }
-  with
-  | o ->
-      Tracer.close_span
-        ~attrs:
-          [
-            ("passed", Ev.Bool (o.failures = []));
-            ("drf", Ev.Bool o.drf_actual);
-          ]
-        sp;
-      o
-  | exception e ->
-      Tracer.close_span ~attrs:[ ("error", Ev.Str (Printexc.to_string e)) ] sp;
-      raise e
+  in
+  Tracer.with_span "litmus"
+    ~attrs:(fun () ->
+      [ ("test", Ev.Str t.name); ("model", Ev.Str (Model.name model)) ])
+    ~result:(fun o ->
+      [ ("passed", Ev.Bool (o.failures = [])); ("drf", Ev.Bool o.drf_actual) ])
+    run
 
 (* Corpus runs shard one test per pool job (claimed dynamically, so a
    handful of expensive tests do not serialise the rest). *)

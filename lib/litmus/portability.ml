@@ -49,17 +49,6 @@ let cell m ~pass ~model =
    the cell's model, so the matrix never reports a counterexample the
    machine cannot actually reproduce. *)
 let check_cell ?fuel ?max_states ?stats ((pass : Pass.t), model, changed) =
-  let sp =
-    if Tracer.enabled () then
-      Tracer.span
-        ~attrs:
-          [
-            ("pass", Ev.Str pass.Pass.name);
-            ("model", Ev.Str (Model.name model));
-          ]
-        "portability.cell"
-    else Tracer.none
-  in
   let rec go = function
     | [] -> if changed = [] then Inert else Safe
     | (name, p, p') :: rest -> (
@@ -92,8 +81,13 @@ let check_cell ?fuel ?max_states ?stats ((pass : Pass.t), model, changed) =
                   u_replayed = replayed;
                 })
   in
-  let v = go changed in
-  Tracer.close_span ~attrs:[ ("verdict", Ev.Str (verdict_tag v)) ] sp;
+  let v =
+    Tracer.with_span "portability.cell"
+      ~attrs:(fun () ->
+        [ ("pass", Ev.Str pass.Pass.name); ("model", Ev.Str (Model.name model)) ])
+      ~result:(fun v -> [ ("verdict", Ev.Str (verdict_tag v)) ])
+      (fun () -> go changed)
+  in
   {
     c_pass = pass.Pass.name;
     c_model = model;
@@ -101,66 +95,51 @@ let check_cell ?fuel ?max_states ?stats ((pass : Pass.t), model, changed) =
     c_checked = List.length changed;
   }
 
-let sweep ?fuel ?max_states ?stats ?jobs ?pool ?(passes = Pipeline.registry)
-    ?(models = Model.all) ?(tests = Corpus.all) () =
-  let sp =
-    if Tracer.enabled () then
-      Tracer.span
-        ~attrs:
-          [
-            ("passes", Ev.Int (List.length passes));
-            ("models", Ev.Int (List.length models));
-            ("tests", Ev.Int (List.length tests));
-          ]
-        "portability.sweep"
-    else Tracer.none
-  in
-  let programs =
-    List.map (fun (t : Litmus.t) -> (t.Litmus.name, Litmus.program t)) tests
-  in
-  (* The rewrite is model-independent: apply the pass once per test and
-     validate only the programs it actually changed, under every model.
-     The cells are independent: each is one batch job. *)
-  let cells =
-    List.concat_map
-      (fun (pass : Pass.t) ->
-        let changed =
-          List.filter_map
-            (fun (name, p) ->
-              let r = pass.Pass.run p in
-              if Ast.equal_program r.Pass.program p then None
-              else Some (name, p, r.Pass.program))
-            programs
-        in
-        List.map (fun model -> (pass, model, changed)) models)
-      passes
-    |> Explorer.batch_map ?stats ?jobs ?pool
-         (check_cell ?fuel ?max_states ?stats)
-  in
-  Tracer.close_span
-    ~attrs:
-      [
-        ( "unsafe",
-          Ev.Int
-            (List.length
-               (List.filter
-                  (fun c ->
-                    match c.c_verdict with Unsafe _ -> true | _ -> false)
-                  cells)) );
-      ]
-    sp;
-  {
-    passes = List.map (fun (p : Pass.t) -> p.Pass.name) passes;
-    models;
-    tests = List.map (fun (t : Litmus.t) -> t.Litmus.name) tests;
-    cells;
-  }
-
 let unsafe_cells m =
   List.filter_map
     (fun c ->
       match c.c_verdict with Unsafe u -> Some (c, u) | _ -> None)
     m.cells
+
+let sweep ?fuel ?max_states ?stats ?jobs ?pool ?(passes = Pipeline.registry)
+    ?(models = Model.all) ?(tests = Corpus.all) () =
+  Tracer.with_span "portability.sweep"
+    ~attrs:(fun () ->
+      [
+        ("passes", Ev.Int (List.length passes));
+        ("models", Ev.Int (List.length models));
+        ("tests", Ev.Int (List.length tests));
+      ])
+    ~result:(fun m -> [ ("unsafe", Ev.Int (List.length (unsafe_cells m))) ])
+    (fun () ->
+      let programs =
+        List.map (fun (t : Litmus.t) -> (t.Litmus.name, Litmus.program t)) tests
+      in
+      (* The rewrite is model-independent: apply the pass once per test
+         and validate only the programs it actually changed, under every
+         model.  The cells are independent: each is one batch job. *)
+      let cells =
+        List.concat_map
+          (fun (pass : Pass.t) ->
+            let changed =
+              List.filter_map
+                (fun (name, p) ->
+                  let r = pass.Pass.run p in
+                  if Ast.equal_program r.Pass.program p then None
+                  else Some (name, p, r.Pass.program))
+                programs
+            in
+            List.map (fun model -> (pass, model, changed)) models)
+          passes
+        |> Explorer.batch_map ?stats ?jobs ?pool
+             (check_cell ?fuel ?max_states ?stats)
+      in
+      {
+        passes = List.map (fun (p : Pass.t) -> p.Pass.name) passes;
+        models;
+        tests = List.map (fun (t : Litmus.t) -> t.Litmus.name) tests;
+        cells;
+      })
 
 let pp_verdict ppf = function
   | Safe -> Fmt.string ppf "safe"

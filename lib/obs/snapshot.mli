@@ -7,7 +7,7 @@
     {v
     {"schema":"heartbeat/v1","seq":3,"ts":12.04,
      "progress":{"states":48123,"edges":...,"states_per_s":52031.0},
-     "metrics":{"counters":{...},"gauges":{...},"histograms":{...}}}
+     "metrics":{"counters":{...},"gauges":{...}}}
     v}
 
     The sampler {e pulls}: exploration hot loops are untouched, so a

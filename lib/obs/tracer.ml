@@ -95,19 +95,16 @@ let span ?(parent = none) ?(attrs = []) name =
 let close_span ?(attrs = []) sp =
   if !on && sp >= 0 then emit Event.End "" sp none attrs
 
-let instant ?(attrs = []) name =
-  if !on then emit Event.Instant name none none attrs
-
 let counter name v =
   if !on then emit Event.Counter name none none [ ("v", Event.Float v) ]
 
-let with_span ?parent ?attrs name f attrs_of =
+let with_span ?(attrs = fun () -> []) ~result name f =
   if not !on then f ()
   else begin
-    let sp = span ?parent ?attrs name in
+    let sp = span ~attrs:(attrs ()) name in
     match f () with
     | r ->
-        close_span ~attrs:(attrs_of r) sp;
+        close_span ~attrs:(result r) sp;
         r
     | exception e ->
         close_span ~attrs:[ ("error", Event.Str (Printexc.to_string e)) ] sp;

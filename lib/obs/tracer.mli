@@ -55,15 +55,19 @@ val close_span : ?attrs:(string * Event.value) list -> span -> unit
 (** Emit the matching [End] event.  Attributes given here are attached
     to the end event (results: counts, verdicts). *)
 
-val instant : ?attrs:(string * Event.value) list -> string -> unit
-
 val counter : string -> float -> unit
 (** Emit a [Counter] sample (a timestamped value, e.g. queue depth). *)
 
 val with_span :
-  ?parent:span -> ?attrs:(string * Event.value) list -> string ->
-  (unit -> 'a) -> ('a -> (string * Event.value) list) -> 'a
-(** [with_span name f attrs_of] wraps [f] in a span whose end event
-    carries [attrs_of result]; exceptions close the span with an
-    ["error"] attribute and re-raise.  Allocates a closure — for cold
-    paths; hot paths use {!span}/{!close_span} directly. *)
+  ?attrs:(unit -> (string * Event.value) list) ->
+  result:('a -> (string * Event.value) list) ->
+  string ->
+  (unit -> 'a) ->
+  'a
+(** [with_span name ~attrs ~result f] runs [f] inside a span: the begin
+    event carries [attrs ()] and the end event [result r].  An exception
+    closes the span with an ["error"] attribute and is re-raised.  When
+    disabled it is [f ()]: neither attribute function runs.  Allocates
+    closures — for cold paths (a pipeline, a pass, a validation, a
+    litmus test, a portability cell); hot paths use {!span} and
+    {!close_span} directly. *)

@@ -228,40 +228,44 @@ let publish_step ps =
         if not (Validate.outcome_ok o) then c "pipeline.validation_failures" 1
   end
 
-let verdict_of ps =
-  match ps.ps_validation with
-  | None -> "skipped"
-  | Some o -> if Validate.outcome_ok o then "ok" else "FAILED"
-
 let step_attrs ps =
+  let verdict, method_ =
+    match ps.ps_validation with
+    | None -> ("skipped", "skipped")
+    | Some o ->
+        ( (if Validate.outcome_ok o then "ok" else "FAILED"),
+          Validate.method_tag o )
+  in
   [
     ("iterations", Ev.Int ps.ps_iterations);
     ("sites", Ev.Int (List.length ps.ps_sites));
-    ("verdict", Ev.Str (verdict_of ps));
-    ( "method",
-      Ev.Str
-        (match ps.ps_validation with
-        | None -> "skipped"
-        | Some o -> Validate.method_tag o) );
+    ("verdict", Ev.Str verdict);
+    ("method", Ev.Str method_);
     ("validation_wall", Ev.Float ps.ps_validation_wall);
     ("states", Ev.Int ps.ps_explorer.Explorer.states);
   ]
 
+(* The one driver: an in-order fold that rewrites a step, validates its
+   output against its input, and stops at the first failure.  With
+   several jobs the run resolves one pool, and each validation shards
+   its two programs' explorations across it. *)
 let run ?fuel ?max_states ?(validate_each = false) ?(max_iters = 16) ?jobs
     ?pool ?(validator = Validate.Auto)
     ?(model = Safeopt_model.Memory_model.Sc) spec p =
-  let validate_step stats pin pout =
-    if validate_each && not (Ast.equal_program pout pin) then begin
-      let t0 = Clock.now () in
-      let o =
-        Validate.run_validator ?fuel ?max_states ~stats ~model validator
-          ~original:pin ~transformed:pout ()
-      in
-      Some (o, Clock.elapsed t0)
-    end
-    else None
-  in
-  let mk_ps step iters sites stats validation =
+  let step_run pool step p =
+    let p', sites, iters = run_step ~max_iters step p in
+    let stats = Explorer.create_stats () in
+    let validation =
+      if validate_each && not (Ast.equal_program p' p) then begin
+        let t0 = Clock.now () in
+        let o =
+          Validate.run_validator ?fuel ?max_states ~stats ?pool ~model
+            validator ~original:p ~transformed:p' ()
+        in
+        Some (o, Clock.elapsed t0)
+      end
+      else None
+    in
     let ps =
       {
         ps_pass = step.pass.Pass.name;
@@ -274,137 +278,54 @@ let run ?fuel ?max_states ?(validate_each = false) ?(max_iters = 16) ?jobs
       }
     in
     publish_step ps;
-    ps
+    (p', ps)
   in
-  let failure_of step pin pout o =
-    match Validate.outcome_witness ~original:pin ~transformed:pout o with
-    | Some w -> Some (step.pass.Pass.name, w)
-    | None -> None
-  in
-  let seq () =
+  let fold pool =
     let rec go p steps_rev = function
       | [] -> { final = p; steps = List.rev steps_rev; failure = None }
       | step :: rest -> (
-          let sp =
-            if Tracer.enabled () then
-              Tracer.span
-                ~attrs:[ ("pass", Ev.Str step.pass.Pass.name) ]
-                "pass"
-            else Tracer.none
+          let p', ps =
+            Tracer.with_span "pass"
+              ~attrs:(fun () -> [ ("pass", Ev.Str step.pass.Pass.name) ])
+              ~result:(fun (_, ps) -> step_attrs ps)
+              (fun () -> step_run pool step p)
           in
-          let p', sites, iters = run_step ~max_iters step p in
-          let stats = Explorer.create_stats () in
-          let validation = validate_step stats p p' in
-          let ps = mk_ps step iters sites stats validation in
-          Tracer.close_span ~attrs:(step_attrs ps) sp;
           let steps_rev = ps :: steps_rev in
-          match validation with
-          | Some (o, _) when not (Validate.outcome_ok o) ->
+          match ps.ps_validation with
+          | Some o when not (Validate.outcome_ok o) ->
               (* reject the pass's output: the pipeline stops at its input *)
               {
                 final = p;
                 steps = List.rev steps_rev;
-                failure = failure_of step p p' o;
+                failure =
+                  Option.map
+                    (fun w -> (ps.ps_pass, w))
+                    (Validate.outcome_witness ~original:p ~transformed:p' o);
               }
           | _ -> go p' steps_rev rest)
     in
     go p [] spec
   in
-  (* Speculative parallel validation: the syntactic rewrites are cheap
-     and inherently sequential (each pass consumes its predecessor's
-     output), so they all run first; the per-step differential
-     validations — the expensive part — are independent of each other
-     and fan out across the pool.  Folding the verdicts in pipeline
-     order and cutting at the earliest failure reproduces the
-     sequential outcome exactly: steps past a failure are validated
-     speculatively but their records and programs are discarded. *)
-  let par pl =
-    let rec transform p acc = function
-      | [] -> List.rev acc
-      | step :: rest ->
-          (* the "pass" span covers only the syntactic rewrite here; the
-             speculative validations carry their own "validate" spans on
-             the worker lanes, and the verdicts land as instants when
-             the fold below reaches each step *)
-          let sp =
-            if Tracer.enabled () then
-              Tracer.span ~attrs:[ ("pass", Ev.Str step.pass.Pass.name) ] "pass"
-            else Tracer.none
-          in
-          let p', sites, iters = run_step ~max_iters step p in
-          Tracer.close_span
-            ~attrs:
-              [
-                ("iterations", Ev.Int iters);
-                ("sites", Ev.Int (List.length sites));
-              ]
-            sp;
-          transform p' ((step, p, p', sites, iters) :: acc) rest
-    in
-    let staged = transform p [] spec in
-    let stats =
-      Array.init (List.length staged) (fun _ -> Explorer.create_stats ())
-    in
-    let validations =
-      Par.Pool.map_list pl
-        (fun i (_, pin, pout, _, _) -> validate_step stats.(i) pin pout)
-        staged
-    in
-    let rec cut final steps_rev staged validations i =
-      match (staged, validations) with
-      | [], _ | _, [] ->
-          { final; steps = List.rev steps_rev; failure = None }
-      | (step, pin, pout, sites, iters) :: staged', validation :: validations'
-        -> (
-          let ps = mk_ps step iters sites stats.(i) validation in
-          if Tracer.enabled () then
-            Tracer.instant
-              ~attrs:
-                [
-                  ("pass", Ev.Str step.pass.Pass.name);
-                  ("verdict", Ev.Str (verdict_of ps));
-                ]
-              "pass.verdict";
-          let steps_rev = ps :: steps_rev in
-          match validation with
-          | Some (o, _) when not (Validate.outcome_ok o) ->
-              {
-                final = pin;
-                steps = List.rev steps_rev;
-                failure = failure_of step pin pout o;
-              }
-          | _ -> cut pout steps_rev staged' validations' (i + 1))
-    in
-    cut p [] staged validations 0
-  in
-  let sp =
-    if Tracer.enabled () then
-      Tracer.span
-        ~attrs:
-          [
-            ("spec", Ev.Str (Fmt.str "%a" pp_spec spec));
-            ("model", Ev.Str (Safeopt_model.Memory_model.name model));
-          ]
-        "pipeline"
-    else Tracer.none
-  in
-  match Par.dispatch ?jobs ?pool ~seq ~par () with
-  | o ->
-      Tracer.close_span
-        ~attrs:
-          [
-            ("passes", Ev.Int (List.length o.steps));
-            ( "verdict",
-              Ev.Str
-                (match o.failure with
-                | None -> "ok"
-                | Some (name, _) -> "REJECTED at " ^ name) );
-          ]
-        sp;
-      o
-  | exception e ->
-      Tracer.close_span ~attrs:[ ("error", Ev.Str (Printexc.to_string e)) ] sp;
-      raise e
+  Tracer.with_span "pipeline"
+    ~attrs:(fun () ->
+      [
+        ("spec", Ev.Str (Fmt.str "%a" pp_spec spec));
+        ("model", Ev.Str (Safeopt_model.Memory_model.name model));
+      ])
+    ~result:(fun o ->
+      [
+        ("passes", Ev.Int (List.length o.steps));
+        ( "verdict",
+          Ev.Str
+            (match o.failure with
+            | None -> "ok"
+            | Some (name, _) -> "REJECTED at " ^ name) );
+      ])
+    (fun () ->
+      Par.dispatch ?jobs ?pool
+        ~seq:(fun () -> fold None)
+        ~par:(fun pool -> fold (Some pool))
+        ())
 
 let pp_trace ppf o =
   Fmt.pf ppf "@[<v>";

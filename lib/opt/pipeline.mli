@@ -97,11 +97,14 @@ val run :
     pipeline with a witness.  A pass whose output equals its input is
     never validated (nothing to check).
 
-    [jobs]/[pool] parallelise the validations: the (cheap, inherently
-    sequential) rewrites run first, then every changed step's
-    differential validation fans out across the pool, and the verdicts
-    are folded in pipeline order, cutting at the earliest failure — the
-    outcome is identical to the sequential run. *)
+    The run is one in-order fold at every job count: rewrite a step,
+    validate it, stop at the first failure.  [jobs]/[pool] resolve one
+    pool for the run, which every validation reuses to shard its two
+    programs' explorations ({!Validate.run_validator}).  So the outcome,
+    the counts and the trace are those of the one-domain run; only the
+    pool size is added ([Explorer.stats.domains], where a validation
+    explored).  Each step's ["pass"] span encloses its rewrite and its
+    validation and closes with the step's verdict. *)
 
 val pp_trace : outcome Fmt.t
 (** The [--trace-passes] rendering: one block per executed pass with

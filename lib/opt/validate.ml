@@ -58,107 +58,84 @@ let ok r =
   behaviours_ok r
   && match r.relation_holds with None -> true | Some b -> b
 
-(* The static fast path for the two DRF questions every validation
-   asks.  `Static_race.certified_drf` is a sound certificate (see its
-   documentation), so a positive answer avoids the exponential schedule
-   enumeration entirely; a negative answer only means "unknown" and
-   falls back to the exhaustive check. *)
-let drf_fast ?fuel ?max_states ?stats p =
-  Safeopt_analysis.Static_race.certified_drf p
-  || Interp.is_drf ?fuel ?max_states ?stats p
-
 let find_race_fast ?fuel ?max_states ?stats p =
   if Safeopt_analysis.Static_race.certified_drf p then None
   else Interp.find_race ?fuel ?max_states ?stats p
 
-(* The two SC questions of one program, its behaviours and whether it
-   is DRF, from one reduced exploration; a program with a static
-   certificate only needs its behaviours. *)
-let sc_questions ?fuel ?max_states ?stats p =
-  if Safeopt_analysis.Static_race.certified_drf p then
-    (Interp.behaviours ?fuel ?max_states ?stats p, true)
-  else Interp.behaviours_and_drf ?fuel ?max_states ?stats p
+(* One program's answers to the questions every report asks of it: its
+   behaviours under the model, whether it is DRF, and a race witness,
+   searched for only when forced.  The DRF legs are SC questions under
+   every model: data races are a property of the language semantics,
+   and the DRF guarantee is what ports SC verdicts to the hardware
+   models.  Under SC one reduced exploration answers both questions,
+   and a program with a static certificate only needs its behaviours. *)
+type answers = {
+  behaviours : Behaviour.Set.t;
+  drf : bool;
+  race : Interleaving.t option Lazy.t;
+}
 
-let validate_with ?fuel ?max_states ?stats ?jobs ?pool
-    ?(model = Model.Sc) ~relation ~relation_check ~original ~transformed () =
-  (* one span per differential validation; its children are the
-     explorer entry spans of the enumerations below *)
-  let sp =
-    if Tracer.enabled () then
-      Tracer.span
-        ~attrs:
-          [
-            ("relation", Ev.Str (Fmt.str "%a" pp_relation relation));
-            ("model", Ev.Str (Model.name model));
-          ]
-        "validate"
-    else Tracer.none
-  in
-  let finish r =
-    Tracer.close_span
-      ~attrs:
-        [
-          ("original_drf", Ev.Bool r.original_drf);
-          ("transformed_drf", Ev.Bool r.transformed_drf);
-          ("new_behaviour", Ev.Bool (Option.is_some r.new_behaviour));
-          ("ok", Ev.Bool (ok r));
-        ]
-      sp;
-    r
-  in
-  (* The two programs' explorations are independent: each program's
-     answers are one batch job. *)
-  let both f =
-    match Explorer.batch_map ?stats ?jobs ?pool f [ original; transformed ] with
-    | [ o; t ] -> (o, t)
-    | _ -> assert false
-  in
-  match
-    let b_orig, original_drf, b_trans, transformed_drf, race_witness =
-      match model with
-      | Model.Sc ->
-          let (b_orig, original_drf), (b_trans, transformed_drf) =
-            both (sc_questions ?fuel ?max_states ?stats)
-          in
-          (* the witness search runs only on a program already found racy *)
-          let race_witness =
-            if transformed_drf then None
-            else Interp.find_race ?fuel ?max_states ?stats transformed
-          in
-          (b_orig, original_drf, b_trans, transformed_drf, race_witness)
-      | Model.Tso | Model.Pso ->
-          (* The DRF legs are SC questions under every model: data races
-             are a property of the language semantics, and the DRF
-             guarantee is what ports SC verdicts to the hardware
-             models. *)
-          let (b_orig, race_orig), (b_trans, race_witness) =
-            both (fun p ->
-                ( Model.behaviours ?fuel ?max_states ?stats model p,
-                  find_race_fast ?fuel ?max_states ?stats p ))
-          in
-          ( b_orig,
-            Option.is_none race_orig,
-            b_trans,
-            Option.is_none race_witness,
-            race_witness )
-    in
-    let new_behaviour = Safeopt_core.Safety.behaviour_subset b_trans b_orig in
-    let relation_holds, relation_counterexample = relation_check () in
-    {
-      model;
-      original_drf;
-      transformed_drf;
-      new_behaviour;
-      race_witness;
-      relation;
-      relation_holds;
-      relation_counterexample;
-    }
-  with
-  | r -> finish r
-  | exception e ->
-      Tracer.close_span ~attrs:[ ("error", Ev.Str (Printexc.to_string e)) ] sp;
-      raise e
+let answers ?fuel ?max_states ?stats model p =
+  match model with
+  | Model.Sc ->
+      let behaviours, drf =
+        if Safeopt_analysis.Static_race.certified_drf p then
+          (Interp.behaviours ?fuel ?max_states ?stats p, true)
+        else Interp.behaviours_and_drf ?fuel ?max_states ?stats p
+      in
+      let race =
+        lazy (if drf then None else Interp.find_race ?fuel ?max_states ?stats p)
+      in
+      { behaviours; drf; race }
+  | Model.Tso | Model.Pso ->
+      let race = find_race_fast ?fuel ?max_states ?stats p in
+      let behaviours = Model.behaviours ?fuel ?max_states ?stats model p in
+      { behaviours; drf = Option.is_none race; race = Lazy.from_val race }
+
+(* The report of one pair from its programs' answers.  The transformed
+   side's witness is forced here, in the calling domain. *)
+let report_of model (o : answers) (t : answers) =
+  {
+    model;
+    original_drf = o.drf;
+    transformed_drf = t.drf;
+    new_behaviour = Safeopt_core.Safety.behaviour_subset t.behaviours o.behaviours;
+    race_witness = Lazy.force t.race;
+    relation = Unchecked;
+    relation_holds = None;
+    relation_counterexample = None;
+  }
+
+(* One span per differential validation; its children are the explorer
+   entry spans of the two programs' explorations, which are independent:
+   each program's answers are one batch job. *)
+let validate_with ?fuel ?max_states ?stats ?jobs ?pool ?(model = Model.Sc)
+    ~relation ~relation_check ~original ~transformed () =
+  Tracer.with_span "validate"
+    ~attrs:(fun () ->
+      [
+        ("relation", Ev.Str (Fmt.str "%a" pp_relation relation));
+        ("model", Ev.Str (Model.name model));
+      ])
+    ~result:(fun r ->
+      [
+        ("original_drf", Ev.Bool r.original_drf);
+        ("transformed_drf", Ev.Bool r.transformed_drf);
+        ("new_behaviour", Ev.Bool (Option.is_some r.new_behaviour));
+        ("ok", Ev.Bool (ok r));
+      ])
+    (fun () ->
+      let r =
+        match
+          Explorer.batch_map ?stats ?jobs ?pool
+            (answers ?fuel ?max_states ?stats model)
+            [ original; transformed ]
+        with
+        | [ o; t ] -> report_of model o t
+        | _ -> assert false
+      in
+      let relation_holds, relation_counterexample = relation_check () in
+      { r with relation; relation_holds; relation_counterexample })
 
 let validate ?fuel ?max_states ?stats ?jobs ?pool ?model ~original
     ~transformed () =
@@ -229,12 +206,6 @@ let validate_semantic ?fuel ?max_states ?stats ?jobs ?pool ?(max_len = 12)
   in
   validate_with ?fuel ?max_states ?stats ?jobs ?pool ~relation ~relation_check
     ~original ~transformed ()
-
-let validate_batch ?fuel ?max_states ?stats ?jobs ?pool ?model pairs =
-  Explorer.batch_map ?stats ?jobs ?pool
-    (fun (original, transformed) ->
-      validate ?fuel ?max_states ?stats ?model ~original ~transformed ())
-    pairs
 
 (* --- The validator escalation ladder ----------------------------------- *)
 
@@ -307,21 +278,26 @@ let vcount name =
    rung ([Static]/[Refinement]) reports [Inconclusive] (not ok, no
    witness) when that rung cannot decide.
 
-   Under a hardware model ([model] = Tso/Pso) the static rung is still
-   sound (equal programs have equal behaviours under any model), but
-   the refinement rung argues over SC tracesets only.  [Auto] applies
-   it just the same when both programs carry a static DRF certificate:
-   by the DRF guarantee their model behaviours coincide with SC, so an
-   SC-safe verdict ports.  In every other case [Auto] escalates
-   straight to model-exhaustive enumeration, and forcing [Refinement]
-   is [Inconclusive]. *)
+   Every model climbs this one ladder; the model decides only whether
+   the refine rung may decide, and the text of the notes.  The static
+   rung is sound under any model (equal programs have equal behaviours),
+   but the refine rung argues over SC tracesets.  Under a hardware
+   model [Auto] applies it only when both programs carry a static DRF
+   certificate: by the DRF guarantee their model behaviours coincide
+   with SC (Theorem 2), so an SC-safe verdict ports.  Otherwise [Auto]
+   escalates straight to model-exhaustive enumeration, and forcing
+   [Refinement] is [Inconclusive]. *)
 let run_validator ?fuel ?max_states ?stats ?jobs ?pool ?max_len ?max_traces
     ?(model = Model.Sc) validator ~original ~transformed () =
   vcount "validate.outcomes";
   vcount ("validate.model." ^ Model.name model);
+  let sc = Model.equal model Model.Sc in
   let outcome out_method out_ok out_refine out_report out_note =
     { out_validator = validator; out_method; out_ok; out_refine; out_report;
       out_note }
+  in
+  let inconclusive refine note =
+    outcome Inconclusive false refine None (Some note)
   in
   let exhaustive ?refine ?note () =
     vcount "validate.exhaustive_runs";
@@ -331,106 +307,63 @@ let run_validator ?fuel ?max_states ?stats ?jobs ?pool ?max_len ?max_traces
     in
     outcome Enumerated (ok r) refine (Some r) note
   in
+  let escalate ?refine why =
+    exhaustive ?refine
+      ~note:
+        (Fmt.str "%s; escalated to %s enumeration" why
+           (if sc then "exhaustive" else Model.name model ^ "-exhaustive"))
+      ()
+  in
+  let certified = Safeopt_analysis.Static_race.certified_drf in
   if Ast.equal_program original transformed then begin
     vcount "validate.static_hits";
     outcome Equal_programs true None None
       (Some "programs syntactically equal")
   end
   else
-    match model with
-    | Model.Tso | Model.Pso -> (
-        match validator with
-        | Static ->
-            outcome Inconclusive false None None
-              (Some
-                 "programs differ: the static rung cannot relate distinct \
-                  programs (use exhaustive or auto)")
-        | Exhaustive -> exhaustive ()
-        | Refinement ->
-            outcome Inconclusive false None None
-              (Some
-                 (Fmt.str
-                    "the refinement rung argues over SC tracesets and cannot \
-                     decide the %a model (use exhaustive or auto)"
-                    Model.pp model))
-        | Auto ->
-            if
-              Safeopt_analysis.Static_race.certified_drf original
-              && Safeopt_analysis.Static_race.certified_drf transformed
-            then (
-              (* DRF applicability: both programs are certified DRF, so
-                 their model behaviours equal their SC behaviours
-                 (Theorem 2) and the SC refinement verdict ports. *)
-              let r =
-                Refine.check ?max_len ?max_traces ~original ~transformed ()
-              in
-              match Refine.verdict r with
-              | Refine.Safe ->
-                  vcount "validate.refine_hits";
-                  outcome Refined true (Some r) None
-                    (Some
-                       (Fmt.str
-                          "both programs statically DRF: the SC refinement \
-                           verdict ports to %a by the DRF guarantee"
-                          Model.pp model))
-              | Refine.Counterexample _ | Refine.Unknown _ ->
-                  vcount "validate.refine_misses";
-                  exhaustive ~refine:r
-                    ~note:
-                      (Fmt.str
-                         "refinement could not decide; escalated to \
-                          %a-exhaustive enumeration"
-                         Model.pp model)
-                    ())
-            else
-              exhaustive
-                ~note:
-                  (Fmt.str
-                     "the static/refine rungs are SC-sound arguments; \
-                      escalated to %a-exhaustive enumeration"
-                     Model.pp model)
-                ())
-    | Model.Sc -> (
-        match validator with
-        | Static ->
-            outcome Inconclusive false None None
-              (Some
-                 "programs differ: the static rung cannot relate distinct \
-                  programs (use refine, exhaustive or auto)")
-        | Exhaustive -> exhaustive ()
-        | Refinement -> (
-            let r =
-              Refine.check ?max_len ?max_traces ~original ~transformed ()
-            in
-            match Refine.verdict r with
-            | Refine.Safe ->
-                vcount "validate.refine_hits";
-                outcome Refined true (Some r) None None
-            | Refine.Counterexample _ ->
-                outcome Refined false (Some r) None
-                  (Some "a transformed thread trace has no \
-                         elimination/reordering witness")
-            | Refine.Unknown reason ->
-                outcome Inconclusive false (Some r) None (Some reason))
-        | Auto -> (
-            let r =
-              Refine.check ?max_len ?max_traces ~original ~transformed ()
-            in
-            match Refine.verdict r with
-            | Refine.Safe ->
-                vcount "validate.refine_hits";
-                outcome Refined true (Some r) None None
-            | Refine.Counterexample _ ->
-                vcount "validate.refine_misses";
-                exhaustive ~refine:r
-                  ~note:"refinement found an unwitnessed trace; escalated to \
-                         exhaustive enumeration"
-                  ()
-            | Refine.Unknown reason ->
-                vcount "validate.refine_misses";
-                exhaustive ~refine:r
-                  ~note:(reason ^ "; escalated to exhaustive enumeration")
-                  ()))
+    match validator with
+    | Static ->
+        inconclusive None
+          (Fmt.str
+             "programs differ: the static rung cannot relate distinct \
+              programs (use %sexhaustive or auto)"
+             (if sc then "refine, " else ""))
+    | Exhaustive -> exhaustive ()
+    | Refinement when not sc ->
+        inconclusive None
+          (Fmt.str
+             "the refinement rung argues over SC tracesets and cannot \
+              decide the %a model (use exhaustive or auto)"
+             Model.pp model)
+    | Auto when not (sc || (certified original && certified transformed)) ->
+        escalate "the static/refine rungs are SC-sound arguments"
+    | Refinement | Auto -> (
+        let r = Refine.check ?max_len ?max_traces ~original ~transformed () in
+        match (Refine.verdict r, validator) with
+        | Refine.Safe, _ ->
+            vcount "validate.refine_hits";
+            outcome Refined true (Some r) None
+              (if sc then None
+               else
+                 Some
+                   (Fmt.str
+                      "both programs statically DRF: the SC refinement \
+                       verdict ports to %a by the DRF guarantee"
+                      Model.pp model))
+        | Refine.Counterexample _, Refinement ->
+            outcome Refined false (Some r) None
+              (Some "a transformed thread trace has no \
+                     elimination/reordering witness")
+        | Refine.Unknown reason, Refinement -> inconclusive (Some r) reason
+        | (Refine.Counterexample _ | Refine.Unknown _), _ when not sc ->
+            vcount "validate.refine_misses";
+            escalate ~refine:r "refinement could not decide"
+        | Refine.Counterexample _, _ ->
+            vcount "validate.refine_misses";
+            escalate ~refine:r "refinement found an unwitnessed trace"
+        | Refine.Unknown reason, _ ->
+            vcount "validate.refine_misses";
+            escalate ~refine:r reason)
 
 type chain_report = { pairwise : report list; end_to_end : report }
 
@@ -442,44 +375,23 @@ let pp_chain_report ppf c =
 
 let chain_ok c = List.for_all ok c.pairwise && ok c.end_to_end
 
-let validate_chain ?fuel ?max_states ?stats ?jobs ?pool programs =
-  match programs with
+(* Each program is explored once: a middle program is the transformed
+   side of one pair and the original side of the next, and the
+   end-to-end report reuses the first and last programs' answers.  A
+   race witness is searched for only when a racy program is some
+   report's transformed side. *)
+let validate_chain ?fuel ?max_states ?stats ?jobs ?pool = function
   | [] -> invalid_arg "Validate.validate_chain: empty chain"
-  | _ ->
-      (* Explore each program exactly once: a middle program is the
-         transformed side of one pair and the original side of the next,
-         and the end-to-end report reuses the first and last programs'
-         results.  The per-program explorations are independent, so
-         they shard across the pool.  A race witness is searched for
-         only when a racy program is some report's transformed side. *)
-      let data =
+  | programs ->
+      let all =
         Explorer.batch_map ?stats ?jobs ?pool
-          (fun p ->
-            let b, drf = sc_questions ?fuel ?max_states ?stats p in
-            let race =
-              lazy
-                (if drf then None
-                 else Interp.find_race ?fuel ?max_states ?stats p)
-            in
-            (b, drf, race))
+          (answers ?fuel ?max_states ?stats Model.Sc)
           programs
       in
-      let report_of (b_orig, drf_orig, _) (b_trans, drf_trans, race_trans) =
-        {
-          model = Model.Sc;
-          original_drf = drf_orig;
-          transformed_drf = drf_trans;
-          new_behaviour = Safeopt_core.Safety.behaviour_subset b_trans b_orig;
-          race_witness = Lazy.force race_trans;
-          relation = Unchecked;
-          relation_holds = None;
-          relation_counterexample = None;
-        }
-      in
       let rec pairs = function
-        | a :: (b :: _ as rest) -> report_of a b :: pairs rest
+        | a :: (b :: _ as rest) -> report_of Model.Sc a b :: pairs rest
         | _ -> []
       in
-      let first = List.hd data in
-      let last = List.fold_left (fun _ d -> d) first data in
-      { pairwise = pairs data; end_to_end = report_of first last }
+      let first = List.hd all in
+      let last = List.fold_left (fun _ d -> d) first all in
+      { pairwise = pairs all; end_to_end = report_of Model.Sc first last }

@@ -80,26 +80,21 @@ val validate :
     (default [Sc]) selects the backend whose behaviour sets are
     compared; the DRF legs are SC questions under every model.
 
-    Both DRF questions first try the static lockset certificate
+    Every report — pairwise, semantic or chained — is built from the
+    same per-program answers: the behaviours, the DRF verdict and a
+    race witness searched for only when needed.  Both DRF questions
+    first try the static lockset certificate
     ({!Safeopt_analysis.Static_race.certified_drf}); only when the
     analysis reports potential races does the exhaustive interleaving
     enumeration run.  Under [Sc] one reduced exploration per program
     answers both of its questions
     ({!Safeopt_lang.Interp.behaviours_and_drf}), and the race witness
-    search ({!Safeopt_lang.Interp.find_race}) runs only when the
-    transformed program is racy.  Under [Tso]/[Pso] each program's
-    model behaviours and race search run together.  [jobs]/[pool]
-    shard the two programs' explorations across domains, one batch job
-    per program ({!Explorer.batch_map}); the report is unchanged. *)
-
-val drf_fast :
-  ?fuel:int ->
-  ?max_states:int ->
-  ?stats:Explorer.stats ->
-  Ast.program ->
-  bool
-(** [is_drf] with the static fast path: a lockset certificate first,
-    enumeration only as fallback. *)
+    search ({!Safeopt_lang.Interp.find_race}) runs, in the calling
+    domain, only when the transformed program is racy.  Under
+    [Tso]/[Pso] each program's race search and model behaviours run
+    together.  [jobs]/[pool] shard the two programs' explorations
+    across domains, one batch job per program ({!Explorer.batch_map});
+    the report is unchanged. *)
 
 val find_race_fast :
   ?fuel:int ->
@@ -109,32 +104,6 @@ val find_race_fast :
   Interleaving.t option
 (** [find_race] with the static fast path: returns [None] without
     enumerating when the program is statically certified DRF. *)
-
-val validate_batch :
-  ?fuel:int ->
-  ?max_states:int ->
-  ?stats:Explorer.stats ->
-  ?jobs:int ->
-  ?pool:Par.Pool.t ->
-  ?model:Safeopt_model.Memory_model.t ->
-  (Ast.program * Ast.program) list ->
-  report list
-(** Validate many (original, transformed) pairs, sharded across the
-    pool (one pair per job, claimed dynamically).  Reports come back in
-    input order and are identical to [List.map] of {!validate}; every
-    job counts into [stats] ({!Explorer.batch_map}). *)
-
-val witness :
-  original:Ast.program ->
-  transformed:Ast.program ->
-  report ->
-  Ast.program Safeopt_core.Witness.t option
-(** Turn a failed report into a structured counterexample: the program
-    pair plus the strongest evidence it carries (an introduced race,
-    then a new behaviour, then an unwitnessed trace from a relation
-    check).  [None] when the report satisfies {!ok} — or in the
-    degenerate case where it fails but records no concrete evidence
-    (e.g. a racy original, where the DRF guarantee is vacuous). *)
 
 (** {1 The validator escalation ladder}
 
@@ -156,8 +125,10 @@ val witness :
     escalates, so [Auto]'s verdict always equals [Exhaustive]'s.
     Forcing a single rung reports inconclusive when it cannot decide.
 
-    Under a hardware model the static rung still applies, but the
-    refinement rung is an SC-sound argument: [Auto] only uses it when
+    Every memory model climbs the same ladder; the model decides only
+    whether the refine rung may decide, and the text of the notes.  The
+    static rung applies under any model, but the refinement rung is an
+    SC-sound argument: under a hardware model [Auto] only uses it when
     both programs carry a static DRF certificate (their model
     behaviours then coincide with SC by the DRF guarantee) and
     otherwise escalates to model-exhaustive enumeration, so its
@@ -197,10 +168,14 @@ val outcome_witness :
   transformed:Ast.program ->
   outcome ->
   Ast.program Safeopt_core.Witness.t option
-(** Structured counterexample for a failed outcome: from the
-    exhaustive report when the enumeration ran ({!witness}), otherwise
-    from the refine counterexample
-    ({!Safeopt_analysis.Refine.witness}). *)
+(** Structured counterexample for a failed outcome: the program pair
+    plus the strongest evidence it carries.  When the enumeration ran,
+    that is an introduced race, then a new behaviour, then an
+    unwitnessed trace from a relation check; otherwise it is the refine
+    counterexample ({!Safeopt_analysis.Refine.witness}).  [None] when
+    the outcome is ok — or when it fails but records no concrete
+    evidence (an inconclusive rung, or a racy original under SC, where
+    the DRF guarantee is vacuous). *)
 
 val pp_outcome : outcome Fmt.t
 
@@ -222,7 +197,8 @@ val run_validator :
     [max_len]/[max_traces] bound the refine rung's per-thread
     enumerations; [fuel], [max_states], [stats], [jobs], [pool]
     parameterise the exhaustive rung exactly as in {!validate}: the
-    pool shards only the two programs' explorations.  When
+    pool shards only the two programs' explorations, and a caller's
+    [pool] is reused, so the validation spawns no domains.  When
     the {!Safeopt_obs.Metrics} registry is enabled, publishes the
     fast-path hit-rate counters [validate.outcomes],
     [validate.static_hits], [validate.refine_hits],
@@ -253,9 +229,9 @@ val validate_chain :
     per pair) under SC.  Each program is explored once, for its
     behaviours and its DRF verdict, and the results are shared between
     the pairwise and end-to-end reports; a race witness is searched for
-    only when a racy program is some report's transformed side.  Under
-    [jobs]/[pool] the per-program explorations shard across domains,
-    one batch job per program.
+    only when a racy program is some report's transformed side, in the
+    calling domain.  Under [jobs]/[pool] the per-program explorations
+    shard across domains, one batch job per program.
     @raise Invalid_argument on an empty chain. *)
 
 val validate_semantic :

@@ -1,7 +1,6 @@
-(* The lib/obs telemetry layer: histogram bucketing, sharded-merge
-   equality, counter exactness under real domains, event JSON
-   round-trips, span-log well-formedness over random batch runs at
-   --jobs 1 and --jobs 2, and report aggregation. *)
+(* The lib/obs telemetry layer: counter exactness under real domains,
+   event JSON round-trips, span-log well-formedness over random batch
+   runs at --jobs 1 and --jobs 2, and report aggregation. *)
 
 open Safeopt_exec
 open Safeopt_lang
@@ -18,100 +17,11 @@ module Bench_diff = Safeopt_obs.Bench_diff
 let check_b = Alcotest.(check bool)
 let check_i = Alcotest.(check int)
 
-(* --- histograms --------------------------------------------------- *)
-
-let test_bucket_roundtrip () =
-  List.iter
-    (fun s ->
-      let b = Metrics.bucket_of s in
-      let lo, hi = Metrics.bucket_bounds b in
-      check_b (Printf.sprintf "%g lands in [%g, %g)" s lo hi) true
-        (lo <= s && s < hi))
-    [ 0.; 1e-10; 5e-10; 1e-9; 1.5e-9; 2e-9; 1e-6; 3.2e-4; 0.5; 1.; 60.; 1e5 ];
-  (* bucket edges: 2^(i-1) ns lands in bucket i, just under in i-1 *)
-  List.iter
-    (fun i ->
-      let lo, _ = Metrics.bucket_bounds i in
-      check_i (Printf.sprintf "lower edge of bucket %d" i) i
-        (Metrics.bucket_of lo);
-      check_i
-        (Printf.sprintf "just under the edge of bucket %d" i)
-        (i - 1)
-        (Metrics.bucket_of (lo *. (1. -. epsilon_float))))
-    [ 2; 3; 10; 30 ]
-
-let test_histogram_counts () =
-  let r = Metrics.create ~stripes:1 () in
-  let h = Metrics.histogram r "h" in
-  let samples = [ 1e-9; 2e-9; 1e-6; 1e-3; 1e-3; 2. ] in
-  List.iter (Metrics.observe h) samples;
-  check_i "count" (List.length samples) (Metrics.histogram_count h);
-  (* the sum is approximated at bucket centres: within 2x of the truth *)
-  let truth = List.fold_left ( +. ) 0. samples in
-  let approx = Metrics.histogram_sum h in
-  check_b "sum within bucket resolution" true
-    (approx >= truth /. 2. && approx <= truth *. 2.);
-  check_b "q=1 bound covers the max" true
-    (match Metrics.quantile h 1.0 with Some hi -> hi >= 2. | None -> false);
-  check_b "q=0 bound is tiny" true
-    (match Metrics.quantile h 0.0 with
-    | Some hi -> hi <= 2e-9
-    | None -> false)
-
-let test_quantile_edges () =
-  let r = Metrics.create ~stripes:1 () in
-  let empty = Metrics.histogram r "empty" in
-  check_b "empty histogram has no quantile" true
-    (Metrics.quantile empty 0.5 = None);
-  let h = Metrics.histogram r "h" in
-  List.iter (Metrics.observe h) [ 1e-6; 1e-6; 1e-3; 1. ];
-  let first = snd (Metrics.bucket_bounds (Metrics.bucket_of 1e-6)) in
-  let last = snd (Metrics.bucket_bounds (Metrics.bucket_of 1.)) in
-  check_b "p=0 is the first occupied bucket" true
-    (Metrics.quantile h 0. = Some first);
-  check_b "p=1 is the last occupied bucket" true
-    (Metrics.quantile h 1. = Some last);
-  check_b "p<0 clamps to the first occupied bucket" true
-    (Metrics.quantile h (-3.) = Some first);
-  check_b "p>1 clamps to the last occupied bucket" true
-    (Metrics.quantile h 7. = Some last);
-  check_b "nan clamps to the last occupied bucket" true
-    (Metrics.quantile h Float.nan = Some last)
-
-(* --- sharded merge equality --------------------------------------- *)
-
-let test_merge_equality () =
-  (* per-worker registries merged into an accumulator equal a
-     sequential registry fed the same stream: counter for counter,
-     bucket for bucket *)
-  let seq = Metrics.create ~stripes:1 () in
-  let workers = Array.init 4 (fun _ -> Metrics.create ~stripes:1 ()) in
-  let rnd = Random.State.make [| 0x0b5 |] in
-  for i = 0 to 999 do
-    let w = workers.(i mod 4) in
-    let n = Random.State.int rnd 5 in
-    Metrics.add (Metrics.counter seq "c") n;
-    Metrics.add (Metrics.counter w "c") n;
-    let s = Random.State.float rnd 1e-3 in
-    Metrics.observe (Metrics.histogram seq "h") s;
-    Metrics.observe (Metrics.histogram w "h") s
-  done;
-  let acc = Metrics.create ~stripes:1 () in
-  Array.iter (fun w -> Metrics.merge ~into:acc w) workers;
-  check_i "counter totals equal"
-    (Metrics.counter_value (Metrics.counter seq "c"))
-    (Metrics.counter_value (Metrics.counter acc "c"));
-  Alcotest.(check (list (pair int int)))
-    "histogram buckets equal"
-    (Metrics.histogram_buckets (Metrics.histogram seq "h"))
-    (Metrics.histogram_buckets (Metrics.histogram acc "h"));
-  check_i "histogram counts equal"
-    (Metrics.histogram_count (Metrics.histogram seq "h"))
-    (Metrics.histogram_count (Metrics.histogram acc "h"))
+(* --- counters ------------------------------------------------------ *)
 
 let test_counter_exact_parallel () =
-  (* counters are atomic per stripe, so totals are exact at any level
-     of parallelism *)
+  (* a counter is one atomic cell, so totals are exact at any level of
+     parallelism *)
   let r = Metrics.create () in
   let c = Metrics.counter r "c" in
   let ds =
@@ -571,7 +481,7 @@ let test_stats_registry_roundtrip () =
   s.Explorer.peak_frontier <- 99;
   s.Explorer.wall <- 0.5;
   s.Explorer.domains <- 2;
-  let r = Metrics.create ~stripes:1 () in
+  let r = Metrics.create () in
   Explorer.publish ~into:r s;
   let s' = Explorer.of_registry r in
   check_b "round-trips through a registry" true
@@ -588,11 +498,6 @@ let () =
     [
       ( "metrics",
         [
-          Alcotest.test_case "bucket round-trip" `Quick test_bucket_roundtrip;
-          Alcotest.test_case "histogram counts" `Quick test_histogram_counts;
-          Alcotest.test_case "quantile edge cases" `Quick test_quantile_edges;
-          Alcotest.test_case "sharded merge equality" `Quick
-            test_merge_equality;
           Alcotest.test_case "parallel counter exactness" `Quick
             test_counter_exact_parallel;
           Alcotest.test_case "stats registry round-trip" `Quick

@@ -282,29 +282,6 @@ let qcheck_witnesses =
 
 (* --- batch validation and the pipeline -------------------------------- *)
 
-let test_validate_batch () =
-  let open Safeopt_opt in
-  let spec =
-    Result.get_ok
-      (Pipeline.parse "constprop;copyprop;redundancy;dead-moves;normalise")
-  in
-  let pairs =
-    List.filter_map
-      (fun t ->
-        let p = Litmus.program t in
-        let q = (Pipeline.run spec p).Pipeline.final in
-        if Ast.equal_program p q then None else Some (p, q))
-      Corpus.all
-  in
-  check_b "corpus yields some non-trivial pairs" true (List.length pairs >= 3);
-  let seq =
-    List.map
-      (fun (original, transformed) -> Validate.validate ~original ~transformed ())
-      pairs
-  in
-  let par = Validate.validate_batch ~pool pairs in
-  check_b "batch reports identical to sequential" true (seq = par)
-
 (* [run_validator] shards the two programs' explorations across the
    pool.  On every registry rewrite of the corpus, under each model and
    both deciding validators, a 2-domain pool gives the outcome and the
@@ -348,8 +325,10 @@ let pipeline_spec s =
   | Ok spec -> spec
   | Error e -> failwith e
 
-(* The refine rung never uses the pool, so the pipeline tests pin the
-   exhaustive validator: every validation then runs the explorer on it. *)
+(* A pipeline run resolves one pool and hands it to every validation,
+   which shards its two programs' explorations across it.  The refine
+   rung never uses the pool, so the pipeline tests pin the exhaustive
+   validator: every validation then runs the explorer on it. *)
 let validator = Safeopt_opt.Validate.Exhaustive
 
 let test_pipeline_parallel () =
@@ -368,8 +347,9 @@ let test_pipeline_parallel () =
       then Alcotest.failf "%s: parallel pipeline verdict differs" t.Litmus.name)
     Corpus.all
 
-(* The speculative parallel pipeline must cut at the same failing pass
-   as the incremental sequential one, discarding speculated suffixes. *)
+(* With a pool, the pipeline still validates each step before it runs
+   the next, so it stops at the same failing pass and keeps the same
+   last accepted program. *)
 let test_pipeline_reject_parallel () =
   let open Safeopt_opt in
   let spec = pipeline_spec "unsafe-store-release;normalise" in
@@ -416,7 +396,6 @@ let () =
         ] );
       ( "batch",
         [
-          Alcotest.test_case "validate_batch" `Slow test_validate_batch;
           Alcotest.test_case "run_validator sharding" `Slow
             test_run_validator_sharding;
           Alcotest.test_case "pipeline" `Slow test_pipeline_parallel;
